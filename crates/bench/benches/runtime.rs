@@ -4,8 +4,9 @@
 //! Four questions, each its own group:
 //! * `run` vs `run_report` — the per-step price of channel meters,
 //!   starvation streaks, and runtime consumer checks;
-//! * `conformance/check` — replaying `eqp_core::diagnose` over a finished
-//!   run's trace (off the hot path: pay only when certifying);
+//! * `conformance/check` — `check_report` on a finished run: one linear
+//!   replay of the trace through the smoothness monitor (off the hot
+//!   path: pay only when certifying);
 //! * `faults/link` — a `FaultyLink` interposed on the merge output versus
 //!   the unfaulted network (the link is one extra process, so the delta
 //!   is mostly scheduling);
@@ -27,17 +28,24 @@
 //!   dividend (`CheckpointView` skim-and-move resume vs the allocating
 //!   decoder on a ≥1MB image, asserted byte-identical and gated >1×).
 //!
+//! The `posthoc` rows time the reference check, `eqp_core::diagnose`
+//! re-walking every prefix pair; the `replay` rows time `check_report`.
+//!
 //! Results are emitted to `BENCH_runtime.json` at the repository root,
+//! with the host's thread count and the measured commit,
 //! including the computed checkpoint-capture and ARQ overhead ratios, the
 //! compiled monitor overhead (gate ≤1.15×), and the IR stats line. Under
 //! `EQP_BENCH_SMOKE=1` every body runs once: the fusion gates still
 //! assert, the timing gates and JSON emission are skipped.
 
 use criterion::Criterion;
+use eqp_core::diagnose::diagnose;
 use eqp_core::Description;
-use eqp_kahn::conformance::{check_report, ConformanceOptions};
+use eqp_kahn::conformance::{check_report, verdict_for, ConformanceOptions, Verdict};
 use eqp_kahn::faults::{Fault, FaultSchedule, FaultyLink, LinkFaultSpec};
-use eqp_kahn::{procs, Network, Oracle, ReliableConfig, RoundRobin, RunOptions, SupervisorOptions};
+use eqp_kahn::{
+    procs, Network, Oracle, ReliableConfig, RoundRobin, RunOptions, RunReport, SupervisorOptions,
+};
 use eqp_processes::{brock_ackermann as ba, dfm, fair_merge, ticks};
 use eqp_seqfn::delta::SideEval;
 use eqp_seqfn::paper::ch;
@@ -78,6 +86,15 @@ fn faulted_merge(fault: Fault) -> Network {
     net
 }
 
+/// The reference check: `eqp_core::diagnose` re-walking every prefix
+/// pair of the projected trace, with the shared verdict derivation —
+/// O(n²), what `check_report` ran before it became a monitor replay.
+fn posthoc_oracle(desc: &Description, report: &RunReport) -> Verdict {
+    let t = report.trace.project(&desc.channels());
+    let n = t.events().expect("finite run trace").len();
+    verdict_for(&diagnose(desc, &t, n), &report.status)
+}
+
 fn bench_run_vs_report(c: &mut Criterion, desc: &Description) {
     let mut g = c.benchmark_group("runtime/section23");
     g.sample_size(20);
@@ -97,6 +114,13 @@ fn bench_run_vs_report(c: &mut Criterion, desc: &Description) {
         })
     });
     g.bench_function("run_report+conformance", |b| {
+        b.iter(|| {
+            let mut net = dfm::section23_network(Oracle::fair(7, 2));
+            let report = net.run_report(&mut RoundRobin::new(), section23_opts());
+            black_box(posthoc_oracle(desc, &report))
+        })
+    });
+    g.bench_function("run_report+replay", |b| {
         b.iter(|| {
             let mut net = dfm::section23_network(Oracle::fair(7, 2));
             let report = net.run_report(&mut RoundRobin::new(), section23_opts());
@@ -599,10 +623,11 @@ fn deep_description(n: usize) -> Description {
 
 /// The online-monitor tax: the deep pipeline bare, with the in-loop
 /// `SmoothnessMonitor` certifying every committed send (acceptance:
-/// ≤1.5× bare), and with the post-hoc full-trace re-walk it replaces.
-/// The 64/256/1024 sweep pins the amortized-O(1) claim: the monitor's
-/// per-event cost must stay flat as the trace deepens, while the
-/// post-hoc diagnose re-walks every prefix.
+/// ≤1.5× bare), with the `check_report` replay of the finished trace,
+/// and with the reference `diagnose` re-walk. The 64/256/1024 sweep pins
+/// the amortized-O(1) claim: the monitor's and the replay's per-event
+/// cost must stay flat as the trace deepens, while `diagnose` re-walks
+/// every prefix.
 fn bench_monitored(c: &mut Criterion) {
     let mut g = c.benchmark_group("monitored");
     g.sample_size(20);
@@ -627,6 +652,13 @@ fn bench_monitored(c: &mut Criterion) {
             })
         });
         g.bench_function(format!("posthoc-{n}"), |b| {
+            b.iter(|| {
+                let mut net = deep_pipeline(n);
+                let report = net.run_report(&mut RoundRobin::new(), opts);
+                black_box(posthoc_oracle(&desc, &report))
+            })
+        });
+        g.bench_function(format!("replay-{n}"), |b| {
             b.iter(|| {
                 let mut net = deep_pipeline(n);
                 let report = net.run_report(&mut RoundRobin::new(), opts);
@@ -750,6 +782,26 @@ fn ir_stats() -> Vec<IrStats> {
         .collect()
 }
 
+/// Logical CPUs available to the bench, recorded with its results.
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The measured source revision: `git describe --always --dirty`, or
+/// `unknown` outside a git checkout.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_owned(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_owned(),
+        )
+}
+
 fn main() {
     let desc = dfm::section23_description();
     let mut c = Criterion::default().configure_from_args();
@@ -806,6 +858,7 @@ fn main() {
     let s23_bare = median("runtime/section23/run_report");
     let monitored_overhead = median("runtime/section23/run_report_monitored") / s23_bare;
     let posthoc_overhead = median("runtime/section23/run_report+conformance") / s23_bare;
+    let replay_overhead = median("runtime/section23/run_report+replay") / s23_bare;
     let step_speedup = median("compiled/step-interp") / median("compiled/step-compiled");
     let sharded_base = median("sharded/unsharded");
     let shard_scaling: Vec<(usize, f64, f64)> = [1usize, 2, 4, 8]
@@ -830,6 +883,8 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"bench\": \"runtime\",\n");
     json.push_str("  \"command\": \"cargo bench -p eqp-bench --bench runtime\",\n");
+    json.push_str(&format!("  \"host_threads\": {},\n", host_threads()));
+    json.push_str(&format!("  \"commit\": \"{}\",\n", commit()));
     json.push_str(&format!(
         "  \"checkpoint_capture_overhead\": {overhead:.4},\n"
     ));
@@ -846,6 +901,7 @@ fn main() {
     ));
     json.push_str("  \"monitored_overhead_gate\": 1.25,\n");
     json.push_str(&format!("  \"posthoc_overhead\": {posthoc_overhead:.4},\n"));
+    json.push_str(&format!("  \"replay_overhead\": {replay_overhead:.4},\n"));
     json.push_str(&format!(
         "  \"compiled_step_speedup\": {step_speedup:.4},\n"
     ));
@@ -883,15 +939,16 @@ fn main() {
     json.push_str("  \"deep_trace\": [\n");
     for (i, n) in DEEP_TRACE_LENGTHS.iter().enumerate() {
         // marginal certification cost per trace event — flat for the
-        // monitor, growing for the post-hoc prefix re-walk
+        // monitor and the replay, growing for the `diagnose` re-walk
         let bare_n = median(&format!("monitored/bare-{n}"));
-        let online_ev = (median(&format!("monitored/online-{n}")) - bare_n) / (2 * n) as f64;
-        let posthoc_ev = (median(&format!("monitored/posthoc-{n}")) - bare_n) / (2 * n) as f64;
+        let per_event =
+            |row: &str| (median(&format!("monitored/{row}-{n}")) - bare_n) / (2 * n) as f64;
         json.push_str(&format!(
-            "    {{\"events\": {}, \"online_per_event_ns\": {:.1}, \"posthoc_per_event_ns\": {:.1}}}{}\n",
+            "    {{\"events\": {}, \"online_per_event_ns\": {:.1}, \"replay_per_event_ns\": {:.1}, \"posthoc_per_event_ns\": {:.1}}}{}\n",
             2 * n,
-            online_ev,
-            posthoc_ev,
+            per_event("online"),
+            per_event("replay"),
+            per_event("posthoc"),
             if i + 1 < DEEP_TRACE_LENGTHS.len() { "," } else { "" }
         ));
     }
@@ -923,18 +980,20 @@ fn main() {
         "clean-link ARQ overhead {arq_overhead:.4} exceeds the 10% gate"
     );
     assert!(
-        monitored_overhead.is_finite() && posthoc_overhead.is_finite(),
+        monitored_overhead.is_finite()
+            && posthoc_overhead.is_finite()
+            && replay_overhead.is_finite(),
         "monitored overheads must be measurable"
     );
     // Recalibrated 1.15 → 1.25 when the channel-map hasher change sped
     // the bare `run_report` baseline ~11%: the monitor's *absolute*
     // per-event cost is unchanged, so the ratio's denominator shrank.
     // The gate still pins the online monitor far below the ~5.5×
-    // post-hoc re-walk it replaces.
+    // `diagnose` re-walk.
     assert!(
         monitored_overhead <= 1.25,
         "compiled online-monitor overhead {monitored_overhead:.4} exceeds the 1.25× gate \
-         (post-hoc re-walk costs {posthoc_overhead:.4}×)"
+         (the diagnose re-walk costs {posthoc_overhead:.4}×)"
     );
     assert!(
         step_speedup.is_finite() && step_speedup > 1.0,

@@ -69,15 +69,16 @@ fn shutdown(client: &mut Client, child: &mut Child) {
     wait_exit(child, "daemon on shutdown");
 }
 
-/// A tenant-defined (netlang) network whose *run phase* takes ~half a
-/// second (100k steps, no equations so certification stays cheap): long
-/// enough for the mid-run migration test to freeze it with real
-/// progress deterministically.
+/// A tenant-defined (netlang) network with the largest step budget a
+/// session may request (`MAX_SESSION_STEPS`) and no equations, so
+/// certification stays cheap: ~100 worker chunks, so the mid-run
+/// migration test can freeze it after the first chunk with almost all of
+/// the run still ahead.
 const LONG_TICKS: &str = "net ticks-long\n\
-     steps 100000\n\
+     steps 200000\n\
      chan b = 40\n\
      proc ticks = lasso b [] [T]\n";
-const LONG_TICKS_STEPS: u64 = 100_000;
+const LONG_TICKS_STEPS: u64 = eqpd::spec::MAX_SESSION_STEPS as u64;
 
 fn spec_json(workload: &str, seed: u64) -> Json {
     obj([
@@ -208,18 +209,36 @@ fn mid_run_migration_transfers_the_checkpoint_and_preserves_the_verdict() {
     let mut ca = Client::connect(&addr_a).expect("connects");
     let mut cb = Client::connect(&addr_b).expect("connects");
 
-    // A tenant-defined network that takes seconds end-to-end: release
-    // the worker briefly, then pause — the session is frozen mid-run
-    // with real in-memory progress to hand over.
+    // A long tenant-defined network: release the worker, and pause it
+    // the moment `status` first shows progress — the session is frozen
+    // mid-run with real in-memory progress to hand over, however fast
+    // the host runs it. A session only shows its progress while parked
+    // between chunks, so a companion session shares the single worker:
+    // the two alternate chunks, and each stays parked while the other
+    // runs.
     let job = netlang_spec_json(LONG_TICKS, 42);
     let id = ca
         .submit("mig", job.clone())
         .expect("io")
         .expect("admitted");
+    ca.submit("mig", netlang_spec_json(LONG_TICKS, 43))
+        .expect("io")
+        .expect("companion admitted");
     ca.call("pause", obj([("paused", Json::Bool(false))]))
         .expect("io")
         .expect("released");
-    std::thread::sleep(Duration::from_millis(150));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let st = status(&mut ca, id).expect("status ok");
+        if st.get("steps_done").and_then(Json::as_u64).unwrap_or(0) > 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "session never progressed: {st:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     ca.call("pause", obj([("paused", Json::Bool(true))]))
         .expect("io")
         .expect("paused");

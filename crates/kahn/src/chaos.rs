@@ -382,8 +382,8 @@ pub struct ShrinkResult {
 /// the locally minimal schedule. A convicting drop-fault schedule
 /// typically shrinks to the single dropped-message injection.
 ///
-/// This is the post-hoc reference path (full run + O(n²) trace re-walk
-/// per candidate); [`shrink_report`] finds the same minimal schedule with
+/// This is the post-hoc reference path (full run + trace replay per
+/// candidate); [`shrink_report`] finds the same minimal schedule with
 /// early-abort monitored candidates and reports the cost saved.
 pub fn shrink(scenario: &Scenario, trial: &Trial, sup: SupervisorOptions) -> FaultSchedule {
     let mut current = trial.schedule.clone();
@@ -408,7 +408,7 @@ pub fn shrink(scenario: &Scenario, trial: &Trial, sup: SupervisorOptions) -> Fau
 
 /// [`shrink`] with every candidate run under the early-abort online
 /// monitor: a smoothness-violating candidate halts at the convicting
-/// step (amortized O(1) certification, no post-hoc re-walk), so noisy
+/// step (amortized O(1) certification, no post-hoc replay), so noisy
 /// schedules shrink in a fraction of the step budget. The minimal
 /// schedule is identical to the post-hoc path's — the monitored verdict
 /// equals the post-hoc verdict on every run (differential suite), and a

@@ -5,8 +5,7 @@
 //! and that every finite computation is a smooth *prefix* on the way to
 //! one. This module makes that claim executable: feed any run result and
 //! the network's [`Description`] to [`check`], and the trace is projected
-//! onto the description's channels and pushed through
-//! [`eqp_core::diagnose`]:
+//! onto the description's channels and certified:
 //!
 //! * a **quiescent** run must satisfy both the smoothness condition
 //!   (every step's output justified by prior input: `f(v) ⊑ g(u)` for
@@ -17,13 +16,21 @@
 //! * anything else is a violation with the failing component equation
 //!   named — the bridge is exactly how the fault injection tests
 //!   ([`crate::faults`]) detect dropped or duplicated messages.
+//!
+//! Smoothness is a per-step invariant, so a finite trace is certified in
+//! one left-to-right replay through a
+//! [`SmoothnessMonitor`](crate::monitor::SmoothnessMonitor) — linear in
+//! the trace length. [`eqp_core::diagnose`], which re-evaluates both
+//! sides at every prefix pair, stays the reference the differential
+//! suites compare against; lasso (infinite) traces still go through it
+//! to a bounded certificate depth.
 
+use crate::monitor::{MonitorPolicy, SmoothnessMonitor};
 use crate::network::RunResult;
-use crate::report::RunReport;
+use crate::report::{RunReport, RunStatus};
 use eqp_core::diagnose::{diagnose, SmoothReport};
 use eqp_core::smooth::default_certificate_depth;
 use eqp_core::Description;
-use eqp_trace::lasso::Length;
 use eqp_trace::{ChanSet, Trace};
 use std::fmt;
 
@@ -171,78 +178,61 @@ impl fmt::Display for Conformance {
     }
 }
 
-/// Derives the verdict from a diagnostic report and the quiescence flag —
-/// the single derivation shared by the post-hoc checkers and the online
-/// [`SmoothnessMonitor`](crate::monitor::SmoothnessMonitor), so the two
-/// paths agree by construction.
-pub(crate) fn verdict_from_report(report: &SmoothReport, quiescent: bool) -> Verdict {
+/// Derives the verdict from a diagnostic report and the run's terminal
+/// status — the single derivation shared by the monitor replay, the
+/// lasso path and the differential suites' [`diagnose`] oracle, so every
+/// path agrees by construction.
+///
+/// Quiescent runs are held to the limit condition and bounded runs are
+/// excused from it. A run that ended in
+/// [`RunStatus::ReliabilityExhausted`] terminated cleanly but abandoned an
+/// undelivered tail, so its history is judged as a *prefix* and a passing
+/// check is reported as [`Verdict::Degraded`] naming the exhausted link;
+/// smoothness violations still convict as usual.
+pub fn verdict_for(report: &SmoothReport, status: &RunStatus) -> Verdict {
     if let Some(v) = &report.violation {
         return Verdict::SmoothnessViolation {
             component: v.component,
         };
     }
-    if quiescent {
-        let failing: Vec<usize> = report
-            .limits
-            .iter()
-            .filter(|l| !l.holds)
-            .map(|l| l.component)
-            .collect();
-        if failing.is_empty() {
-            Verdict::SmoothSolution
-        } else {
-            Verdict::LimitViolation {
-                components: failing,
-            }
-        }
-    } else {
-        Verdict::SmoothPrefix
+    if let RunStatus::ReliabilityExhausted { link } = status {
+        return Verdict::Degraded { link: link.clone() };
     }
-}
-
-/// Renders the component equations `f_k ⟸ g_k`, aligned with component
-/// indices — shared with the online monitor.
-pub(crate) fn render_equations(desc: &Description) -> Vec<String> {
-    desc.equations_rendered().to_vec()
+    if !status.is_quiescent() {
+        return Verdict::SmoothPrefix;
+    }
+    let failing: Vec<usize> = report
+        .limits
+        .iter()
+        .filter(|l| !l.holds)
+        .map(|l| l.component)
+        .collect();
+    if failing.is_empty() {
+        Verdict::SmoothSolution
+    } else {
+        Verdict::LimitViolation {
+            components: failing,
+        }
+    }
 }
 
 /// Checks a raw trace (with its quiescence flag) against a description.
 ///
 /// The trace is projected onto `opts.visible` (default: the
-/// description's channels), smoothness is checked through every prefix
-/// pair of the finite projection, and — for quiescent runs — the limit
-/// condition is evaluated.
-///
-/// Fast path: when no explicit `visible` set is given and every channel
-/// the trace carries is already one of the description's, the projection
-/// is the identity and the clone-per-event rebuild is skipped.
+/// description's channels); smoothness is checked at every step of the
+/// projection and, for quiescent runs, the limit condition is evaluated.
 pub fn check_trace(
     desc: &Description,
     trace: &Trace,
     quiescent: bool,
     opts: &ConformanceOptions,
 ) -> Conformance {
-    let keep = opts.visible.clone().unwrap_or_else(|| desc.channels());
-    let projected = if opts.visible.is_none() && trace.channels().is_subset(&keep) {
-        None
+    let status = if quiescent {
+        RunStatus::Quiescent
     } else {
-        Some(trace.project(&keep))
+        RunStatus::BudgetExhausted
     };
-    let t = projected.as_ref().unwrap_or(trace);
-    let depth = match t.len() {
-        Length::Finite(n) => n,
-        Length::Infinite => default_certificate_depth(desc, t),
-    };
-    let report = diagnose(desc, t, depth);
-    let verdict = verdict_from_report(&report, quiescent);
-    Conformance {
-        description: desc.name().to_owned(),
-        verdict,
-        report,
-        quiescent,
-        checked: projected.unwrap_or_else(|| trace.clone()),
-        equations: render_equations(desc),
-    }
+    certify(desc, trace, &status, opts)
 }
 
 /// Checks a [`RunResult`] against a description.
@@ -252,21 +242,42 @@ pub fn check(desc: &Description, run: &RunResult, opts: &ConformanceOptions) -> 
 
 /// Checks a telemetry [`RunReport`] against a description.
 ///
-/// Status-aware: a run that ended in
-/// [`RunStatus::ReliabilityExhausted`](crate::RunStatus) terminated
-/// cleanly but abandoned an undelivered tail, so its history is checked
-/// as a *prefix* (not against the limit condition) and a passing check is
-/// reported as [`Verdict::Degraded`] naming the exhausted link — smooth
-/// violations still convict as usual.
+/// Status-aware (see [`verdict_for`]): a run whose reliable link
+/// exhausted its retry budget is checked as a prefix and reported as
+/// [`Verdict::Degraded`] when it passes.
 pub fn check_report(desc: &Description, run: &RunReport, opts: &ConformanceOptions) -> Conformance {
-    if let crate::report::RunStatus::ReliabilityExhausted { link } = &run.status {
-        let mut conf = check_trace(desc, &run.trace, false, opts);
-        if conf.verdict == Verdict::SmoothPrefix {
-            conf.verdict = Verdict::Degraded { link: link.clone() };
-        }
-        return conf;
+    certify(desc, &run.trace, &run.status, opts)
+}
+
+/// A finite trace is replayed once through an observing monitor. A lasso
+/// is diagnosed to its certificate depth.
+fn certify(
+    desc: &Description,
+    trace: &Trace,
+    status: &RunStatus,
+    opts: &ConformanceOptions,
+) -> Conformance {
+    if let Some(events) = trace.events() {
+        let mut monitor =
+            SmoothnessMonitor::new(desc, opts.visible.clone(), MonitorPolicy::Observe);
+        monitor.feed_batch(events);
+        return monitor.finish(status);
     }
-    check_trace(desc, &run.trace, run.quiescent, opts)
+    let keep = opts.visible.clone().unwrap_or_else(|| desc.channels());
+    let checked = if opts.visible.is_none() && trace.channels().is_subset(&keep) {
+        trace.clone()
+    } else {
+        trace.project(&keep)
+    };
+    let report = diagnose(desc, &checked, default_certificate_depth(desc, &checked));
+    Conformance {
+        description: desc.name().to_owned(),
+        verdict: verdict_for(&report, status),
+        report,
+        quiescent: status.is_quiescent(),
+        checked,
+        equations: desc.equations_rendered().to_vec(),
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Online incremental conformance monitoring: amortized O(1) per-event
 //! certification of the smoothness condition.
 //!
-//! The post-hoc bridge in [`crate::conformance`] re-walks every one-step
+//! The reference check, [`eqp_core::diagnose`], re-walks every one-step
 //! prefix pair of the *final* trace and fully re-evaluates `f(v)`/`g(u)`
 //! each time — O(n²) in trace length. But the smoothness condition
 //! `∀ u pre v :: f(v) ⊑ g(u)` is exactly a per-step invariant: each new
@@ -17,20 +17,24 @@
 //! `f(t) = g(t)` is certified once at quiescence from the final states,
 //! so no prefix is ever re-walked.
 //!
-//! Sides without an incremental hook (infinite constants, hookless
-//! `Custom` functions) transparently fall back to full re-evaluation per
-//! event, mirroring `delta.rs` — correctness never depends on the fast
-//! path being available.
+//! The same monitor, fed a finished trace in one batch, *is* the
+//! post-hoc checker: [`crate::conformance::check_report`] replays the
+//! trace through it.
+//!
+//! Sides that read no channel (infinite constants such as a lasso
+//! source's `loop([p],[c])`) are evaluated once and checked by indexing
+//! into the lasso. Only hookless `Custom` functions fall back to full
+//! re-evaluation per event — correctness never depends on the fast path
+//! being available.
 //!
 //! The monitor produces the *same* [`SmoothReport`] / [`Conformance`] /
-//! [`Verdict`] as the post-hoc path: violations are recorded in the same
-//! `(u, v)`-pair-then-component order as [`eqp_core::diagnose`], and the
-//! final verdict is derived by the same shared function
-//! (`conformance::verdict_from_report`). The differential suite
-//! `tests/monitor_equivalence.rs` pins this equivalence across the whole
-//! zoo.
+//! [`Verdict`] as [`eqp_core::diagnose`]: violations are recorded in the
+//! same `(u, v)`-pair-then-component order, and the final verdict is
+//! derived by the shared [`verdict_for`]. The differential suite
+//! `tests/monitor_equivalence.rs` pins this equivalence across the zoo,
+//! netlang programs and fault schedules.
 
-use crate::conformance::{verdict_from_report, Conformance, Verdict};
+use crate::conformance::{verdict_for, Conformance};
 use crate::report::RunStatus;
 use eqp_core::diagnose::{LimitVerdict, SmoothReport, SmoothnessViolation};
 use eqp_core::Description;
@@ -155,8 +159,8 @@ impl SmoothnessMonitor {
         self.events.len()
     }
 
-    /// True iff every side of every component equation is running on the
-    /// incremental fast path (no full re-evaluation per event).
+    /// True iff every side of every component equation runs on the
+    /// incremental machine, so large batches take the fused path.
     pub fn fully_incremental(&self) -> bool {
         self.pairs
             .iter()
@@ -345,30 +349,18 @@ impl SmoothnessMonitor {
         }
     }
 
-    /// Derives the final [`Conformance`] from the run's terminal status,
-    /// mirroring [`crate::conformance::check_report`]: quiescent runs are
-    /// held to the limit condition, bounded runs are excused, and a
-    /// cleanly-passing run whose reliable link exhausted its retry budget
-    /// is reported as [`Verdict::Degraded`] naming the link.
+    /// Derives the final [`Conformance`] from the run's terminal status
+    /// through the shared [`verdict_for`]: quiescent runs are held to the
+    /// limit condition, bounded runs are excused, and a cleanly-passing
+    /// run whose reliable link exhausted its retry budget is reported as
+    /// [`Verdict`](crate::conformance::Verdict)`::Degraded` naming the link.
     pub fn finish(&self, status: &RunStatus) -> Conformance {
-        if let RunStatus::ReliabilityExhausted { link } = status {
-            let mut conf = self.conformance(false);
-            if conf.verdict == Verdict::SmoothPrefix {
-                conf.verdict = Verdict::Degraded { link: link.clone() };
-            }
-            return conf;
-        }
-        self.conformance(status.is_quiescent())
-    }
-
-    fn conformance(&self, quiescent: bool) -> Conformance {
         let report = self.report();
-        let verdict = verdict_from_report(&report, quiescent);
         Conformance {
             description: self.name.clone(),
-            verdict,
+            verdict: verdict_for(&report, status),
             report,
-            quiescent,
+            quiescent: status.is_quiescent(),
             checked: Trace::finite(self.events.clone()),
             equations: self.equations.clone(),
         }
@@ -378,7 +370,8 @@ impl SmoothnessMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conformance::{check_trace, ConformanceOptions};
+    use crate::conformance::Verdict;
+    use eqp_core::diagnose::diagnose;
     use eqp_seqfn::paper::{ch, even, odd};
     use eqp_trace::Chan;
 
@@ -408,36 +401,35 @@ mod tests {
         aborted
     }
 
-    fn assert_matches_posthoc(events: Vec<Event>, quiescent: bool) {
+    fn assert_matches_oracle(events: Vec<Event>, status: RunStatus) {
         let desc = dfm();
         let mut m = SmoothnessMonitor::new(&desc, None, MonitorPolicy::Observe);
         feed_all(&mut m, &events);
-        let online = m.conformance(quiescent);
-        let posthoc = check_trace(
-            &desc,
-            &Trace::finite(events),
-            quiescent,
-            &ConformanceOptions::default(),
-        );
-        assert_eq!(online.verdict, posthoc.verdict);
-        assert_eq!(online.report, posthoc.report);
-        assert_eq!(online.checked, posthoc.checked);
+        let online = m.finish(&status);
+        let trace = Trace::finite(events);
+        let oracle = diagnose(&desc, &trace, m.observed());
+        assert_eq!(online.verdict, verdict_for(&oracle, &status));
+        assert_eq!(online.report, oracle);
+        assert_eq!(online.checked, trace);
     }
 
     #[test]
-    fn solution_prefix_and_violations_match_posthoc() {
+    fn solution_prefix_and_violations_match_the_oracle() {
         let good = vec![
             Event::int(b(), 10),
             Event::int(c(), 21),
             Event::int(d(), 10),
             Event::int(d(), 21),
         ];
-        assert_matches_posthoc(good.clone(), true);
-        assert_matches_posthoc(good[..3].to_vec(), false);
+        assert_matches_oracle(good.clone(), RunStatus::Quiescent);
+        assert_matches_oracle(good[..3].to_vec(), RunStatus::BudgetExhausted);
         // quiescent but incomplete: limit violation
-        assert_matches_posthoc(good[..3].to_vec(), true);
+        assert_matches_oracle(good[..3].to_vec(), RunStatus::Quiescent);
         // output before any justifying input: smoothness violation
-        assert_matches_posthoc(vec![Event::int(d(), 10), Event::int(b(), 10)], false);
+        assert_matches_oracle(
+            vec![Event::int(d(), 10), Event::int(b(), 10)],
+            RunStatus::BudgetExhausted,
+        );
     }
 
     #[test]
@@ -468,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_maps_statuses_like_check_report() {
+    fn finish_maps_statuses_to_verdicts() {
         let desc = dfm();
         let good = [
             Event::int(b(), 10),
@@ -512,8 +504,8 @@ mod tests {
         let mut resumed = m.clone();
         feed_all(&mut m, &events[2..]);
         feed_all(&mut resumed, &events[2..]);
-        let a = m.conformance(true);
-        let b = resumed.conformance(true);
+        let a = m.finish(&RunStatus::Quiescent);
+        let b = resumed.finish(&RunStatus::Quiescent);
         assert_eq!(a.verdict, b.verdict);
         assert_eq!(a.report, b.report);
         assert_eq!(a.checked, b.checked);

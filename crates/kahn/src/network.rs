@@ -602,10 +602,11 @@ impl Network {
 
     /// Runs the network with an online [`SmoothnessMonitor`] certifying
     /// the trace against `desc` *as events commit* — amortized O(1) per
-    /// event, so the returned [`Conformance`] costs O(n) total instead of
-    /// the post-hoc checker's O(n²) prefix re-walk. The verdict is
-    /// identical to `check_report(desc, &report, &Default::default())` on
-    /// the same run (the differential suite pins this); under
+    /// event, so the returned [`Conformance`] costs O(n) total with no
+    /// replay afterwards. The verdict is identical to
+    /// `check_report(desc, &report, &Default::default())` and to the
+    /// `eqp_core::diagnose` reference on the same run (the differential
+    /// suite pins this); under
     /// [`MonitorPolicy::AbortOnViolation`] (see
     /// [`RunOptions::monitor`]) the run additionally halts at the
     /// convicting step with [`RunStatus::MonitorAborted`].
@@ -1112,7 +1113,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Runs to completion and derives the final [`Conformance`] from the
-    /// monitor's evaluator states — no post-hoc trace re-walk.
+    /// monitor's evaluator states — no post-hoc trace replay.
     fn run_monitored(&mut self, sched: &mut dyn Scheduler) -> (RunReport, Conformance) {
         let report = self.run(sched);
         let conf = self

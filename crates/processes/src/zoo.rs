@@ -113,7 +113,7 @@ impl ZooEntry {
 
     /// [`certify`](ZooEntry::certify) with the verdict produced by the
     /// *online* [`SmoothnessMonitor`](eqp_kahn::monitor::SmoothnessMonitor)
-    /// instead of the post-hoc re-walk: amortized O(1) per event, early
+    /// as the run commits, instead of a replay afterwards: early
     /// abort under [`MonitorPolicy::AbortOnViolation`]. The differential
     /// suite pins that this agrees with [`certify`](ZooEntry::certify)
     /// verdict-for-verdict on every entry.

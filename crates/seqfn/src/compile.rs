@@ -45,6 +45,7 @@ use crate::custom::{CustomDeltaState, SeqFunction};
 use crate::delta::FrozenSide;
 use crate::ops::{Conjunction, ValueMap, ValuePred, ValueZip};
 use crate::SeqExpr;
+use eqp_trace::lasso::Length;
 use eqp_trace::{Chan, ChanSet, Event, Lasso, Seq, Trace, Value};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -1557,9 +1558,12 @@ fn chain_step(ops: &mut [ChainOp], mut val: Value, out: &mut Vec<Value>) {
 /// A resumable evaluator for one side of a description equation, driven by
 /// a [`CompiledExpr`] — the compiled counterpart of [`crate::delta::SideEval`].
 ///
-/// Programs [`CompiledExpr::delta_init`] rejects (infinite constants,
-/// hookless customs) degrade to an opaque fallback that re-evaluates the
-/// compiled program per query; soundness never depends on the fast path.
+/// Programs [`CompiledExpr::delta_init`] rejects split two ways. Those
+/// that read no channel (infinite constants, such as a lasso source's
+/// `loop([p],[c])` equation) are evaluated once and checked by indexing
+/// into the lasso. The rest (hookless customs) degrade to an opaque
+/// fallback that re-evaluates the compiled program per query; soundness
+/// never depends on the fast path.
 #[derive(Debug)]
 pub enum CompiledSideEval {
     /// Incremental: compiled machine plus the append-only output so far.
@@ -1568,6 +1572,11 @@ pub enum CompiledSideEval {
         state: CompiledDeltaState,
         /// The side's full (finite) output so far, append-only.
         out: Vec<Value>,
+    },
+    /// A side that reads no channel: its value on every trace.
+    Const {
+        /// The side's value, evaluated once.
+        value: Seq,
     },
     /// Fallback: the program plus every event fed so far.
     Opaque {
@@ -1585,6 +1594,9 @@ impl Clone for CompiledSideEval {
                 state: state.clone(),
                 out: out.clone(),
             },
+            CompiledSideEval::Const { value } => CompiledSideEval::Const {
+                value: value.clone(),
+            },
             CompiledSideEval::Opaque { expr, events } => CompiledSideEval::Opaque {
                 expr: expr.clone(),
                 events: events.clone(),
@@ -1598,6 +1610,9 @@ impl CompiledSideEval {
     pub fn new(e: &CompiledExpr) -> CompiledSideEval {
         match e.delta_init() {
             Some((state, out)) => CompiledSideEval::Delta { state, out },
+            None if e.channels().is_empty() => CompiledSideEval::Const {
+                value: e.eval(&Trace::empty()),
+            },
             None => CompiledSideEval::Opaque {
                 expr: e.clone(),
                 events: Vec::new(),
@@ -1605,7 +1620,8 @@ impl CompiledSideEval {
         }
     }
 
-    /// True iff the side runs on the incremental fast path.
+    /// True iff the side runs on the incremental machine, so its output
+    /// is available as [`delta_out`](CompiledSideEval::delta_out).
     pub fn is_incremental(&self) -> bool {
         matches!(self, CompiledSideEval::Delta { .. })
     }
@@ -1617,6 +1633,7 @@ impl CompiledSideEval {
     pub fn reads(&self, c: Chan) -> bool {
         match self {
             CompiledSideEval::Delta { state, .. } => state.reads(c),
+            CompiledSideEval::Const { .. } => false,
             CompiledSideEval::Opaque { expr, .. } => expr.reads(c),
         }
     }
@@ -1627,6 +1644,7 @@ impl CompiledSideEval {
     pub fn step(&mut self, ev: Event) {
         match self {
             CompiledSideEval::Delta { state, out } => state.step_into(ev, out),
+            CompiledSideEval::Const { .. } => {}
             CompiledSideEval::Opaque { events, .. } => events.push(ev),
         }
     }
@@ -1639,7 +1657,7 @@ impl CompiledSideEval {
     pub fn delta_out(&self) -> Option<&[Value]> {
         match self {
             CompiledSideEval::Delta { out, .. } => Some(out),
-            CompiledSideEval::Opaque { .. } => None,
+            CompiledSideEval::Const { .. } | CompiledSideEval::Opaque { .. } => None,
         }
     }
 
@@ -1647,15 +1665,19 @@ impl CompiledSideEval {
     pub fn value(&self) -> Seq {
         match self {
             CompiledSideEval::Delta { out, .. } => Lasso::finite(out.clone()),
+            CompiledSideEval::Const { value } => value.clone(),
             CompiledSideEval::Opaque { expr, events } => expr.eval(&Trace::finite(events.clone())),
         }
     }
 
-    /// Snapshots the side's pre-step output: O(1) for incremental sides.
+    /// Snapshots the side's pre-step output: O(1) for incremental and
+    /// constant sides (a constant never changes, so its freeze carries
+    /// nothing).
     #[inline]
     pub fn freeze(&self) -> FrozenSide {
         match self {
             CompiledSideEval::Delta { out, .. } => FrozenSide::Len(out.len()),
+            CompiledSideEval::Const { .. } => FrozenSide::Len(0),
             CompiledSideEval::Opaque { .. } => FrozenSide::Seq(self.value()),
         }
     }
@@ -1670,6 +1692,7 @@ impl CompiledSideEval {
             (CompiledSideEval::Delta { out, .. }, FrozenSide::Len(n)) => {
                 Lasso::finite(out[..*n].to_vec())
             }
+            (CompiledSideEval::Const { value }, _) => value.clone(),
             (_, FrozenSide::Seq(s)) => s.clone(),
             (CompiledSideEval::Opaque { .. }, FrozenSide::Len(_)) => {
                 unreachable!("length freeze taken from an opaque side")
@@ -1771,7 +1794,9 @@ pub fn batch_advance(f: &mut CompiledSideEval, g: &mut CompiledSideEval, evs: &[
 
 /// The per-step smoothness query `f(v) ⊑ g(u)` on compiled sides — the
 /// exact mirror of [`crate::delta::step_check`], with the same amortized
-/// O(1) incremental path and the same `verified` contract.
+/// O(1) incremental path and the same `verified` contract. An incremental
+/// `f` against a constant `g` is amortized O(1) too: only `f`'s newly
+/// appended positions are looked up in the lasso.
 #[inline]
 pub fn step_check(
     f: &CompiledSideEval,
@@ -1789,6 +1814,17 @@ pub fn step_check(
                 return false;
             }
             if fo[*verified..] != go[*verified..fo.len()] {
+                return false;
+            }
+            *verified = fo.len();
+            true
+        }
+        (CompiledSideEval::Delta { out: fo, .. }, CompiledSideEval::Const { value }, _) => {
+            // The length half: `f` may not run past a finite constant's end.
+            if matches!(value.len(), Length::Finite(n) if fo.len() > n) {
+                return false;
+            }
+            if !(*verified..fo.len()).all(|i| value.get(i) == Some(&fo[i])) {
                 return false;
             }
             *verified = fo.len();
@@ -2089,11 +2125,131 @@ mod tests {
         f.step(Event::int(d(), 2));
         g.step(Event::int(d(), 2));
         assert!(!step_check(&f, &g, &frozen, &mut verified));
-        // opaque fallback still answers exactly
+        // an infinite constant answers exactly off the delta machine
         let inf = SeqExpr::constant(Lasso::repeat(vec![Value::Int(0)])).compile();
         let o = CompiledSideEval::new(&inf);
         assert!(!o.is_incremental());
         assert_eq!(o.value(), Lasso::repeat(vec![Value::Int(0)]));
+    }
+
+    /// Feeds `evs` to `f ⟸ g` the way the monitor does (freeze `g`, step
+    /// both, check), returning each step's verdict.
+    fn checks(
+        f: &mut CompiledSideEval,
+        g: &mut CompiledSideEval,
+        verified: &mut usize,
+        evs: &[Event],
+    ) -> Vec<bool> {
+        evs.iter()
+            .map(|&ev| {
+                let frozen = g.freeze();
+                f.step(ev);
+                g.step(ev);
+                step_check(f, g, &frozen, verified)
+            })
+            .collect()
+    }
+
+    /// The tree-walking answer to the same per-step queries.
+    fn oracle_checks(f: &SeqExpr, g: &SeqExpr, evs: &[Event]) -> Vec<bool> {
+        (1..=evs.len())
+            .map(|n| {
+                let u = Trace::finite(evs[..n - 1].to_vec());
+                let v = Trace::finite(evs[..n].to_vec());
+                f.eval(&v).leq(&g.eval(&u))
+            })
+            .collect()
+    }
+
+    fn loop_5_12() -> SeqExpr {
+        SeqExpr::constant(Lasso::lasso(
+            vec![Value::Int(5)],
+            vec![Value::Int(1), Value::Int(2)],
+        ))
+    }
+
+    #[test]
+    fn infinite_constant_sides_are_evaluated_once_and_read_nothing() {
+        let mut g = CompiledSideEval::new(&loop_5_12().compile());
+        let CompiledSideEval::Const { value } = &g else {
+            panic!("an infinite constant side should be constant: {g:?}");
+        };
+        let value = value.clone();
+        assert!(!g.is_incremental() && g.delta_out().is_none());
+        for c in [b(), c(), d(), Chan::new(77)] {
+            assert!(!g.reads(c), "a constant side reads nothing ({c})");
+        }
+        for ev in mixed_events() {
+            g.step(ev);
+        }
+        // stepping stores no events and leaves the value untouched
+        assert!(matches!(&g, CompiledSideEval::Const { value: v } if *v == value));
+        assert_eq!(g.value(), loop_5_12().eval(&Trace::empty()));
+        assert_eq!(g.frozen_value(&g.freeze()), g.value());
+    }
+
+    #[test]
+    fn divergence_inside_the_cycle_convicts_at_exactly_the_first_bad_event() {
+        let fe = SeqExpr::chan(d());
+        let mut f = CompiledSideEval::new(&fe.compile());
+        let mut g = CompiledSideEval::new(&loop_5_12().compile());
+        let mut verified = 0;
+        // 5 · (1 2)^ω, then a 1 where the cycle says 2 (position 5)
+        let evs: Vec<Event> = [5, 1, 2, 1, 2, 1, 1, 2]
+            .iter()
+            .map(|&n| Event::int(d(), n))
+            .collect();
+        let got = checks(&mut f, &mut g, &mut verified, &evs);
+        assert_eq!(got, oracle_checks(&fe, &loop_5_12(), &evs));
+        assert_eq!(got.iter().position(|ok| !ok), Some(6));
+        assert!(got[..6].iter().all(|&ok| ok));
+        // foreign events never convict and leave the frontier alone
+        let mut f = CompiledSideEval::new(&fe.compile());
+        let mut g = CompiledSideEval::new(&loop_5_12().compile());
+        let mut verified = 0;
+        let evs = [Event::int(d(), 5), Event::int(b(), 9), Event::int(d(), 1)];
+        assert_eq!(checks(&mut f, &mut g, &mut verified, &evs), [true; 3]);
+        assert_eq!(verified, 2);
+    }
+
+    #[test]
+    fn running_past_a_finite_constant_convicts() {
+        // `new` keeps finite constants on the delta machine; the constant
+        // case still answers for them exactly.
+        let fe = SeqExpr::chan(d());
+        let ge = SeqExpr::const_ints([1, 2]);
+        let mut f = CompiledSideEval::new(&fe.compile());
+        let mut g = CompiledSideEval::Const {
+            value: ints(&[1, 2]),
+        };
+        let mut verified = 0;
+        let evs: Vec<Event> = [1, 2, 3].iter().map(|&n| Event::int(d(), n)).collect();
+        let got = checks(&mut f, &mut g, &mut verified, &evs);
+        assert_eq!(got, [true, true, false]);
+        assert_eq!(got, oracle_checks(&fe, &ge, &evs));
+        assert_eq!(verified, 2, "the frontier stops at the last good position");
+    }
+
+    #[test]
+    fn constant_sides_clone_freeze_and_resume_identically() {
+        let evs: Vec<Event> = [5, 1, 2, 1, 2, 2, 1]
+            .iter()
+            .map(|&n| Event::int(d(), n))
+            .collect();
+        for cut in 0..=evs.len() {
+            let mut f = CompiledSideEval::new(&SeqExpr::chan(d()).compile());
+            let mut g = CompiledSideEval::new(&loop_5_12().compile());
+            let mut verified = 0;
+            let head = checks(&mut f, &mut g, &mut verified, &evs[..cut]);
+            let (mut f2, mut g2, mut verified2) = (f.clone(), g.clone(), verified);
+            let tail = checks(&mut f, &mut g, &mut verified, &evs[cut..]);
+            let resumed = checks(&mut f2, &mut g2, &mut verified2, &evs[cut..]);
+            assert_eq!(tail, resumed, "cut {cut}");
+            assert_eq!(verified, verified2, "cut {cut}");
+            assert_eq!(format!("{f:?}{g:?}"), format!("{f2:?}{g2:?}"), "cut {cut}");
+            let all: Vec<bool> = head.into_iter().chain(tail).collect();
+            assert_eq!(all, oracle_checks(&SeqExpr::chan(d()), &loop_5_12(), &evs));
+        }
     }
 
     #[test]

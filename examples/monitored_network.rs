@@ -1,19 +1,20 @@
 //! Online incremental certification: the conformance verdicts that
-//! `faulty_network` computes *after* the run by re-walking every prefix
-//! pair of the final trace (O(n²)) are produced here *during* the run —
-//! the engine feeds each committed send into a `SmoothnessMonitor`
-//! holding a resumable evaluator pair per component equation, so every
+//! `faulty_network` computes *after* the run (by replaying the final
+//! trace through a monitor) are produced here *during* the run — the
+//! engine feeds each committed send into a `SmoothnessMonitor` holding
+//! a resumable evaluator pair per component equation, so every
 //! per-event smoothness check is amortized O(1) and the limit condition
 //! is certified once at quiescence from the final states. The verdict
-//! is identical to the post-hoc path (the differential suite
-//! `tests/monitor_equivalence.rs` pins this across the whole zoo), and
+//! is identical to the reference check that re-walks every prefix pair
+//! (the differential suite `tests/monitor_equivalence.rs` pins this
+//! across the whole zoo), and
 //! under `MonitorPolicy::AbortOnViolation` a corrupted run halts at the
 //! exact violating step instead of burning the step budget first.
 //!
 //! Run with: `cargo run --example monitored_network`
 
-use eqp::kahn::conformance::check_report;
-use eqp::kahn::conformance::ConformanceOptions;
+use eqp::core::diagnose::diagnose;
+use eqp::kahn::conformance::verdict_for;
 use eqp::kahn::faults::{Fault, FaultSchedule, LinkFaultSpec};
 use eqp::kahn::report::RunStatus;
 use eqp::kahn::{procs, MonitorPolicy, Network, Oracle, RoundRobin, RunOptions};
@@ -71,12 +72,14 @@ fn main() {
     );
     assert!(online.is_solution());
 
-    // 2. The differential claim, in miniature: the post-hoc bridge on
-    //    the same report returns the *same* certificate.
-    let posthoc = check_report(&desc, &report, &ConformanceOptions::default());
-    assert_eq!(online.verdict, posthoc.verdict);
-    assert_eq!(online.report, posthoc.report);
-    println!("post-hoc re-check agrees: {:?}\n", posthoc.verdict);
+    // 2. The differential claim, in miniature: the reference check —
+    //    `diagnose` re-walking every prefix pair of the same trace —
+    //    returns the *same* certificate.
+    let checked = report.trace.project(&desc.channels());
+    let reference = diagnose(&desc, &checked, checked.events().unwrap().len());
+    assert_eq!(online.verdict, verdict_for(&reference, &report.status));
+    assert_eq!(online.report, reference);
+    println!("reference re-walk agrees: {:?}\n", online.verdict);
 
     // 3. Drop every 2nd message on `d` and keep observing: the run
     //    plays out to its natural end, but the monitor has already

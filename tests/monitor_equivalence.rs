@@ -1,30 +1,41 @@
-//! Differential property suite: the online `SmoothnessMonitor` produces
-//! *identical* conformance results to the post-hoc `check_report` path —
-//! across the whole zoo, all three schedulers, engine fault schedules
-//! (delay/drop/duplicate/reorder/crash), reliable (ARQ) wrapping
-//! including graceful degradation, and mid-run checkpoint/resume of
-//! monitor state.
+//! Differential property suite: every conformance result the runtime
+//! produces — the online `SmoothnessMonitor` and the post-hoc
+//! `check_report` replay alike — is *identical* to the reference check,
+//! `eqp_core::diagnose` on the projected trace with the shared
+//! `verdict_for` derivation. Covered: the whole zoo under all three
+//! schedulers, engine fault schedules (delay/drop/duplicate/reorder/
+//! crash), reliable (ARQ) wrapping including graceful degradation,
+//! mid-run checkpoint/resume of monitor state, lasso-source netlang
+//! pipelines (whose source equation is an infinite constant), random
+//! tenant programs, and drop/duplicate faults convicting on a constant
+//! side.
 //!
-//! The comparison is the honest one: each monitored run's own
-//! `RunReport` is fed to the post-hoc checker, so both paths judge the
-//! *same* trace; and a monitored run's trace is compared against the
-//! plain run's to pin that observation is pure. Equality is field-exact —
-//! verdict, full `SmoothReport` (limits, first violation, depth),
-//! quiescence flag, and checked trace.
+//! The comparison is the honest one: each run's own `RunReport` is fed to
+//! the oracle, so every path judges the *same* trace; and a monitored
+//! run's trace is compared against the plain run's to pin that
+//! observation is pure. Equality is field-exact — verdict, full
+//! `SmoothReport` (limits, first violation, depth), quiescence flag, and
+//! checked trace.
 
+use eqp::core::diagnose::{diagnose, SmoothReport};
 use eqp::core::Description;
 use eqp::kahn::chaos::{self, SchedulerChoice, Trial};
-use eqp::kahn::conformance::{check_report, Conformance, ConformanceOptions, Verdict};
+use eqp::kahn::conformance::{
+    check_report, check_trace, verdict_for, Conformance, ConformanceOptions, Verdict,
+};
 use eqp::kahn::report::RunStatus;
 use eqp::kahn::{
     procs, Adversarial, ArqOptions, CrashPoint, Fault, FaultSchedule, LinkFaultSpec, MonitorPolicy,
-    Network, RandomSched, RoundRobin, RunOptions, Scheduler, SupervisorOptions,
+    Network, RandomSched, RoundRobin, RunOptions, RunReport, Scheduler, SupervisorOptions,
 };
 use eqp::processes::bag;
 use eqp::processes::zoo::{conformance_zoo, ZooEntry};
 use eqp::seqfn::paper::ch;
-use eqp::seqfn::SeqExpr;
-use eqp::trace::{Chan, Value};
+use eqp::seqfn::{CompiledSideEval, SeqExpr};
+use eqp::trace::{Chan, Trace, Value};
+use eqp_netlang::{parse, random_program, NetLimits, NetProgram};
+use eqpd::spec::MAX_TRACE_EVENTS;
+use std::time::{Duration, Instant};
 
 fn schedulers(seed: u64) -> Vec<Box<dyn Scheduler>> {
     vec![
@@ -34,25 +45,60 @@ fn schedulers(seed: u64) -> Vec<Box<dyn Scheduler>> {
     ]
 }
 
-/// Field-exact equality of two conformance results (the struct keeps its
-/// rendered equations private, so compare the observable surface).
-fn assert_conformance_eq(context: &str, online: &Conformance, posthoc: &Conformance) {
-    assert_eq!(online.verdict, posthoc.verdict, "{context}: verdict");
-    assert_eq!(online.report, posthoc.report, "{context}: smooth report");
-    assert_eq!(online.quiescent, posthoc.quiescent, "{context}: quiescence");
-    assert_eq!(online.checked, posthoc.checked, "{context}: checked trace");
-    if let Some(k) = online.failing_component() {
+/// The reference verdict on one finished run: the paper's definition as
+/// written, re-walking every prefix pair of the projected trace.
+struct Oracle {
+    verdict: Verdict,
+    report: SmoothReport,
+    quiescent: bool,
+    checked: Trace,
+    equations: Vec<String>,
+}
+
+fn oracle(desc: &Description, run: &RunReport) -> Oracle {
+    let checked = run.trace.project(&desc.channels());
+    let depth = checked.events().expect("run traces are finite").len();
+    let report = diagnose(desc, &checked, depth);
+    Oracle {
+        verdict: verdict_for(&report, &run.status),
+        report,
+        quiescent: run.status.is_quiescent(),
+        checked,
+        equations: desc.equations_rendered().to_vec(),
+    }
+}
+
+/// Field-exact equality of a conformance result with the oracle's (the
+/// struct keeps its rendered equations private, so compare the
+/// observable surface).
+fn assert_matches_oracle(context: &str, conf: &Conformance, oracle: &Oracle) {
+    assert_eq!(conf.verdict, oracle.verdict, "{context}: verdict");
+    assert_eq!(conf.report, oracle.report, "{context}: smooth report");
+    assert_eq!(conf.quiescent, oracle.quiescent, "{context}: quiescence");
+    assert_eq!(conf.checked, oracle.checked, "{context}: checked trace");
+    if let Some(k) = conf.failing_component() {
         assert_eq!(
-            online.component_equation(k),
-            posthoc.component_equation(k),
+            conf.component_equation(k),
+            oracle.equations.get(k).map(String::as_str),
             "{context}: named equation"
         );
     }
 }
 
-/// Post-hoc check of the very run the monitor certified.
-fn posthoc(entry: &ZooEntry, report: &eqp::kahn::RunReport) -> Conformance {
-    check_report(&entry.description(), report, &ConformanceOptions::default())
+/// Both production paths on one run — the online monitor's result and
+/// the post-hoc `check_report` replay — against the oracle. Returns the
+/// oracle's verdict.
+fn assert_certified(
+    context: &str,
+    desc: &Description,
+    run: &RunReport,
+    online: &Conformance,
+) -> Verdict {
+    let oracle = oracle(desc, run);
+    assert_matches_oracle(&format!("{context} online"), online, &oracle);
+    let replay = check_report(desc, run, &ConformanceOptions::default());
+    assert_matches_oracle(&format!("{context} check_report"), &replay, &oracle);
+    oracle.verdict
 }
 
 #[test]
@@ -63,7 +109,7 @@ fn zoo_monitored_verdicts_equal_posthoc_under_all_schedulers() {
                 let (report, online) =
                     entry.certify_monitored(&mut **sched, seed, MonitorPolicy::Observe);
                 let ctx = format!("{} (seed {seed}, {})", entry.name, sched.name());
-                assert_conformance_eq(&ctx, &online, &posthoc(&entry, &report));
+                assert_certified(&ctx, &entry.description(), &report, &online);
             }
         }
         // observation is pure: the monitored trace is the plain run's
@@ -139,7 +185,7 @@ fn zoo_monitored_verdicts_equal_posthoc_under_fault_schedules() {
                     &schedule,
                 );
                 let ctx = format!("{} × {fault_name} ({})", entry.name, sched.name());
-                assert_conformance_eq(&ctx, &online, &posthoc(&entry, &report));
+                assert_certified(&ctx, &entry.description(), &report, &online);
             }
         }
     }
@@ -156,7 +202,7 @@ fn zoo_monitored_verdicts_equal_posthoc_under_reliable_wrapping() {
             let (report, online) =
                 entry.certify_monitored_reliable(&mut sched, 13, MonitorPolicy::Observe, &schedule);
             let ctx = format!("{} × arq({fault_name})", entry.name);
-            assert_conformance_eq(&ctx, &online, &posthoc(&entry, &report));
+            assert_certified(&ctx, &entry.description(), &report, &online);
         }
     }
 }
@@ -165,8 +211,8 @@ fn zoo_monitored_verdicts_equal_posthoc_under_reliable_wrapping() {
 fn degraded_runs_certify_identically_online() {
     // Pinned graceful degradation (same setup as chaos_zoo): a total drop
     // on the bag's ARQ-protected input under an impatient retry budget
-    // exhausts the link. The monitor must map `ReliabilityExhausted` to
-    // `Degraded` exactly as the post-hoc path does.
+    // exhausts the link. Every path must map `ReliabilityExhausted` to
+    // `Degraded` exactly as the oracle's derivation does.
     let entry = conformance_zoo()
         .into_iter()
         .find(|e| e.name == "bag")
@@ -199,12 +245,7 @@ fn degraded_runs_certify_identically_online() {
         "online verdict must be Degraded naming the link: {:?}",
         online.verdict
     );
-    let posthoc = check_report(
-        &scenario.description(),
-        &report,
-        &ConformanceOptions::default(),
-    );
-    assert_conformance_eq("bag degraded", &online, &posthoc);
+    assert_certified("bag degraded", &scenario.description(), &report, &online);
 }
 
 #[test]
@@ -244,7 +285,10 @@ fn checkpointed_monitor_state_resumes_byte_identically() {
                     "{}: resumed trace must be byte-identical",
                     entry.name
                 );
-                assert_conformance_eq(&format!("{} resume", entry.name), &resumed_conf, &full_conf);
+                let ctx = format!("{} resume", entry.name);
+                let reference = oracle(&desc, &full_report);
+                assert_matches_oracle(&ctx, &resumed_conf, &reference);
+                assert_matches_oracle(&ctx, &full_conf, &reference);
                 resumed_somewhere += 1;
             }
             Err(_) => continue, // hookless process or scheduler: not resumable
@@ -261,8 +305,8 @@ fn abort_policy_halts_before_the_step_bound_and_names_the_posthoc_component() {
     // The acceptance pin: under a drop-fault schedule,
     // `AbortOnViolation` must stop the run at the convicting event —
     // strictly before both the step bound and the faulted run's natural
-    // end — and name the same component equation the post-hoc check
-    // convicts on the completed run.
+    // end — and name the same component equation the oracle convicts on
+    // the completed run.
     const C: Chan = Chan::new(0);
     const D: Chan = Chan::new(1);
     let values: Vec<i64> = (1..=64).collect();
@@ -292,12 +336,12 @@ fn abort_policy_halts_before_the_step_bound_and_names_the_posthoc_component() {
         ..RunOptions::default()
     };
 
-    // post-hoc reference: run to the end, then re-walk the whole trace
+    // reference: run to the end, then re-walk the whole trace
     let full = build().run_report_faulted(&mut RoundRobin::new(), opts, &schedule);
-    let posthoc = check_report(&desc, &full, &ConformanceOptions::default());
-    let convicted = posthoc
-        .failing_component()
-        .expect("the periodic drop must convict");
+    let convicted = match oracle(&desc, &full).verdict {
+        Verdict::SmoothnessViolation { component } => component,
+        other => panic!("the periodic drop must convict, got {other:?}"),
+    };
 
     // online, aborting: halts at the convicting event
     let (aborted, online) = build().run_report_monitored_faulted(
@@ -309,7 +353,7 @@ fn abort_policy_halts_before_the_step_bound_and_names_the_posthoc_component() {
     match &aborted.status {
         RunStatus::MonitorAborted { component } => assert_eq!(
             *component, convicted,
-            "the abort must name the post-hoc failing equation"
+            "the abort must name the oracle's failing equation"
         ),
         other => panic!("expected a monitor abort, got: {other}"),
     }
@@ -349,4 +393,186 @@ fn unmonitored_checkpoints_refuse_monitored_resume() {
         .resume_report_monitored(&ckpt, &mut RoundRobin::new(), opts)
         .expect_err("monitored resume from an unmonitored checkpoint");
     assert_eq!(err, eqp::kahn::SnapshotError::NoMonitor);
+}
+
+/// A lasso-source pipeline in the shape tenants submit: `src` emits
+/// `prefix · cycle^ω` on `c0` (described by the infinite constant
+/// `loop(...)`), followed by map/delay/copy stages. The source never
+/// ends, so every run is cut by its step budget.
+fn pipeline(seed: u64, steps: u64) -> NetProgram {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut below = |n: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % n
+    };
+    let mut vals = |min: u64| -> String {
+        let len = min + below(3);
+        (0..len)
+            .map(|_| below(10).to_string())
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let (prefix, cycle) = (vals(0), vals(1));
+    let stages = 2 + below(4);
+    let mut src = format!("net pipeline-{seed}\nsteps {steps}\n");
+    for i in 0..=stages {
+        src.push_str(&format!("chan c{i} = {i}\n"));
+    }
+    src.push_str(&format!("proc src = lasso c0 [{prefix}] [{cycle}]\n"));
+    let mut eqs = vec![format!("eq c0 <= loop([{prefix}],[{cycle}])")];
+    for i in 1..=stages {
+        let a = i - 1;
+        match below(3) {
+            0 => {
+                let (m, b) = (1 + below(3), below(4));
+                src.push_str(&format!("proc p{i} = map affine({m},{b}) c{a} -> c{i}\n"));
+                eqs.push(format!("eq c{i} <= map(affine({m},{b}), c{a})"));
+            }
+            1 => {
+                let v = below(10);
+                src.push_str(&format!("proc p{i} = delay [{v}] c{a} -> c{i}\n"));
+                eqs.push(format!("eq c{i} <= concat([{v}], c{a})"));
+            }
+            _ => {
+                src.push_str(&format!("proc p{i} = copy c{a} -> c{i}\n"));
+                eqs.push(format!("eq c{i} <= c{a}"));
+            }
+        }
+    }
+    for eq in eqs {
+        src.push_str(&eq);
+        src.push('\n');
+    }
+    parse(&src, &NetLimits::default()).expect("generated pipelines parse")
+}
+
+fn opts(steps: u64, seed: u64) -> RunOptions {
+    RunOptions {
+        max_steps: steps as usize,
+        seed,
+        ..RunOptions::default()
+    }
+}
+
+#[test]
+fn lasso_pipelines_certify_like_the_oracle() {
+    for seed in 0..8u64 {
+        let program = pipeline(seed, 200 + 25 * seed);
+        let desc = program.description();
+        assert!(
+            matches!(
+                CompiledSideEval::new(&desc.rhs_compiled()[0]),
+                CompiledSideEval::Const { .. }
+            ),
+            "the source equation's side is an infinite constant"
+        );
+        for sched in schedulers(seed).iter_mut() {
+            let (report, online) =
+                program
+                    .build(seed)
+                    .run_report_monitored(&desc, sched, opts(program.steps(), seed));
+            let ctx = format!("{} ({})", program.name(), sched.name());
+            let verdict = assert_certified(&ctx, &desc, &report, &online);
+            assert_eq!(verdict, Verdict::SmoothPrefix, "{ctx}: cut by its budget");
+        }
+    }
+}
+
+#[test]
+fn random_tenant_programs_certify_like_the_oracle() {
+    for seed in 0..16u64 {
+        let program =
+            parse(&random_program(seed), &NetLimits::default()).expect("generated programs parse");
+        let desc = program.description();
+        // Budgets are capped so the quadratic oracle stays quick.
+        let steps = program.steps().min(300);
+        for sched in schedulers(seed).iter_mut() {
+            let (report, online) =
+                program
+                    .build(seed)
+                    .run_report_monitored(&desc, sched, opts(steps, seed));
+            let ctx = format!("{} ({})", program.name(), sched.name());
+            let verdict = assert_certified(&ctx, &desc, &report, &online);
+            assert!(
+                matches!(verdict, Verdict::SmoothSolution | Verdict::SmoothPrefix),
+                "{ctx}: generated programs certify, got {verdict:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn source_faults_convict_on_the_constant_side_like_the_oracle() {
+    let mut convicted_on_source = 0usize;
+    for seed in 0..8u64 {
+        let program = pipeline(seed, 200);
+        let desc = program.description();
+        for (name, fault) in [
+            ("drop", Fault::Drop { period: 2 }),
+            ("duplicate", Fault::Duplicate { period: 2 }),
+        ] {
+            let schedule = FaultSchedule {
+                crashes: vec![],
+                links: vec![LinkFaultSpec {
+                    chan: Chan::new(0),
+                    fault,
+                }],
+            };
+            let (report, online) = program.build(seed).run_report_monitored_faulted(
+                &desc,
+                &mut RoundRobin::new(),
+                opts(program.steps(), seed),
+                &schedule,
+            );
+            let ctx = format!("{} × {name}", program.name());
+            if assert_certified(&ctx, &desc, &report, &online)
+                == (Verdict::SmoothnessViolation { component: 0 })
+            {
+                convicted_on_source += 1;
+            }
+        }
+    }
+    assert!(
+        convicted_on_source >= 8,
+        "faults on the source channel must convict its constant equation \
+         (got {convicted_on_source} of 16)"
+    );
+}
+
+#[test]
+fn largest_checkable_trace_certifies_in_linear_time() {
+    // The `check` RPC accepts traces up to `MAX_TRACE_EVENTS` events. A
+    // lasso pipeline cut at that length must certify in one linear
+    // replay — a prefix-pair re-walk would take minutes — and agree with
+    // the oracle on a prefix short enough for it to finish.
+    let program = pipeline(3, (MAX_TRACE_EVENTS + 100) as u64);
+    let desc = program.description();
+    let run = program
+        .build(3)
+        .run_report(&mut RoundRobin::new(), opts(program.steps(), 3));
+    let events = run.trace.events().expect("run traces are finite");
+    assert!(events.len() >= MAX_TRACE_EVENTS, "{} events", events.len());
+    let trace = Trace::finite(events[..MAX_TRACE_EVENTS].to_vec());
+
+    let started = Instant::now();
+    let conf = check_trace(&desc, &trace, false, &ConformanceOptions::default());
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(10),
+        "certifying {MAX_TRACE_EVENTS} events took {took:?}"
+    );
+    assert_eq!(conf.verdict, Verdict::SmoothPrefix);
+    assert_eq!(conf.report.depth, MAX_TRACE_EVENTS);
+
+    let prefix = Trace::finite(events[..2_000].to_vec());
+    let conf = check_trace(&desc, &prefix, false, &ConformanceOptions::default());
+    let report = diagnose(&desc, &prefix, 2_000);
+    assert_eq!(
+        conf.verdict,
+        verdict_for(&report, &RunStatus::BudgetExhausted)
+    );
+    assert_eq!(conf.report, report);
+    assert_eq!(conf.checked, prefix);
 }

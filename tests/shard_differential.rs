@@ -117,7 +117,7 @@ fn zoo_sharded_verdict_agrees_with_unsharded() {
 
 /// The online smoothness monitor rides the canonical committed order, so
 /// a monitored sharded run must (a) reach the same verdict as a post-hoc
-/// re-walk of the very same trace (the raw `check_report`, matching the
+/// check of the very same trace (the raw `check_report`, matching the
 /// unsharded monitor-equivalence convention — the fork's completion hook
 /// is a zoo-level amendment neither checker sees) and (b) leave the run
 /// untouched — monitoring is pure observation at any shard count.
