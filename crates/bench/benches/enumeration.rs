@@ -1,9 +1,9 @@
 //! E13 — the enumeration engine shootout: seed BFS ([`enumerate`]) vs the
-//! prefix-sharing incremental engine, sequential ([`enumerate_memo`]) and
-//! parallel ([`enumerate_par`]), over the Fig. 1–7 process zoo — each
-//! incremental engine in both its compiled-IR (default) and tree-walking
-//! interpreter (`*_interp`) backends, so the compiled-vs-interpreted
-//! column is measured on otherwise identical engines.
+//! prefix-sharing incremental engine ([`enumerate_memo`]) over the
+//! Fig. 1–7 process zoo — the incremental engine in both its compiled-IR
+//! (default) and tree-walking interpreter ([`enumerate_memo_interp`])
+//! backends, so the compiled-vs-interpreted column is measured on
+//! otherwise identical engines.
 //!
 //! Besides the usual criterion output this target emits a machine-readable
 //! `BENCH_enumeration.json` at the repository root with nodes/sec per
@@ -17,11 +17,13 @@
 use criterion::Criterion;
 use eqp_core::description::Alphabet;
 use eqp_core::{
-    enumerate, enumerate_memo, enumerate_memo_interp, enumerate_par, enumerate_par_interp,
-    Description, EnumOptions, Enumeration,
+    enumerate, enumerate_memo, enumerate_memo_interp, Description, EnumOptions, Enumeration,
 };
 use eqp_processes::{brock_ackermann as ba, dfm, fork, implication, ticks};
 use std::hint::black_box;
+
+mod provenance;
+use provenance::{commit, host_threads};
 
 struct Workload {
     name: &'static str,
@@ -111,7 +113,6 @@ struct EngineRow {
 }
 
 fn main() {
-    let par_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut c = Criterion::default().configure_from_args();
     let mut rows: Vec<(String, usize, usize, Vec<EngineRow>)> = Vec::new();
 
@@ -130,18 +131,6 @@ fn main() {
             &enumerate_memo_interp(&w.desc, &w.alpha, w.opts),
             &seed,
         );
-        assert_identical(
-            w.name,
-            "par",
-            &enumerate_par(&w.desc, &w.alpha, w.opts, par_threads),
-            &seed,
-        );
-        assert_identical(
-            w.name,
-            "par-interp",
-            &enumerate_par_interp(&w.desc, &w.alpha, w.opts, par_threads),
-            &seed,
-        );
 
         let mut g = c.benchmark_group(format!("enumeration/{}", w.name));
         g.sample_size(10);
@@ -154,18 +143,6 @@ fn main() {
         g.bench_function("memo", |b| {
             b.iter(|| black_box(enumerate_memo(&w.desc, &w.alpha, w.opts).nodes_visited))
         });
-        g.bench_function("par-interp", |b| {
-            b.iter(|| {
-                black_box(
-                    enumerate_par_interp(&w.desc, &w.alpha, w.opts, par_threads).nodes_visited,
-                )
-            })
-        });
-        g.bench_function("par", |b| {
-            b.iter(|| {
-                black_box(enumerate_par(&w.desc, &w.alpha, w.opts, par_threads).nodes_visited)
-            })
-        });
         g.finish();
 
         let results = c.take_results();
@@ -177,7 +154,7 @@ fn main() {
                 .expect("bench result present")
         };
         let seed_ns = median("seed");
-        let engines = ["seed", "memo-interp", "memo", "par-interp", "par"]
+        let engines = ["seed", "memo-interp", "memo"]
             .into_iter()
             .map(|engine| {
                 let ns = median(engine);
@@ -205,8 +182,8 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"bench\": \"enumeration\",\n");
     json.push_str("  \"command\": \"cargo bench -p eqp-bench --bench enumeration\",\n");
-    json.push_str(&format!("  \"host_threads\": {par_threads},\n"));
-    json.push_str(&format!("  \"par_threads\": {par_threads},\n"));
+    json.push_str(&format!("  \"host_threads\": {},\n", host_threads()));
+    json.push_str(&format!("  \"commit\": \"{}\",\n", commit()));
     json.push_str("  \"workloads\": [\n");
     for (wi, (name, depth, nodes, engines)) in rows.iter().enumerate() {
         json.push_str("    {\n");

@@ -1,8 +1,7 @@
 //! The prefix-sharing, incrementally evaluating enumeration engine for the
-//! Section 3.3 tree — sequential ([`enumerate_memo`]) and parallel
-//! ([`enumerate_par`]) drivers over the same level-synchronous core.
+//! Section 3.3 tree ([`enumerate_memo`]), a level-synchronous BFS.
 //!
-//! Both produce results **identical** to [`crate::enumerate::enumerate`]
+//! It produces results **identical** to [`crate::enumerate::enumerate`]
 //! (same solutions, dead ends, frontier, visit count, truncation flag, all
 //! in the same order) while avoiding the seed engine's two per-node
 //! O(depth) costs:
@@ -20,8 +19,7 @@
 //!   [`eqp_seqfn::SeqFunction::delta_init`] hook) transparently fall back
 //!   to full re-evaluation, exactly as the seed engine does for every
 //!   side. The tree-walking [`DeltaState`] backend is retained behind
-//!   [`enumerate_memo_interp`] / [`enumerate_par_interp`] purely as the
-//!   benchmark baseline.
+//!   [`enumerate_memo_interp`] purely as the benchmark baseline.
 //!
 //! # Why the delta check is sound
 //!
@@ -33,22 +31,11 @@
 //! `f_i` appends against `g_i(u)` at positions `|f_i(u)|‥|f_i(u)|+|Δ|` —
 //! O(|Δ| log depth) instead of O(depth). The same invariant collapses the
 //! limit condition `f_i(u) = g_i(u)` to a pair of length comparisons.
-//!
-//! # Why the parallel driver is deterministic
-//!
-//! Levels are processed synchronously. Before a level is dispatched, the
-//! node budget clamps it to a *prefix* (making the visited set independent
-//! of thread timing), workers receive contiguous chunks of the level and
-//! only ever read the (frozen) arenas, and the single-threaded merge then
-//! appends results and child chains in level order. Every observable field
-//! of the [`Enumeration`] is thus byte-identical for any thread count —
-//! property-tested against the seed engine in `tests/engine_equiv.rs`.
 
 use crate::description::{Alphabet, Description};
 use crate::enumerate::{EnumOptions, Enumeration};
 use eqp_seqfn::{CompiledDeltaState, CompiledExpr, DeltaState, SeqExpr};
 use eqp_trace::{ChainArena, ChainId, Chan, ChanSet, Event, Lasso, Seq, Trace, Value};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One description side as the engine evaluates it — either the compiled
@@ -140,8 +127,8 @@ struct NodeRec {
     rhs: Vec<Side>,
 }
 
-/// Worker output for one admitted child (arena pushes are deferred to the
-/// sequential merge, so workers never mutate shared state).
+/// Output for one admitted child (arena pushes are deferred to the level
+/// merge, so node processing only reads the arenas).
 struct ChildOut {
     event: Event,
     lhs: Vec<SideOut>,
@@ -156,7 +143,7 @@ enum SideOut {
     Full,
 }
 
-/// Worker output for one visited node.
+/// Output for one visited node.
 struct NodeOut {
     is_solution: bool,
     /// Meaningful only at the depth bound (children are not expanded
@@ -437,56 +424,10 @@ fn process_node(
     }
 }
 
-fn process_level(
-    ctx: &Ctx<'_>,
-    events: &ChainArena<Event>,
-    values: &ChainArena<Value>,
-    level: &[NodeRec],
-    verify_base: bool,
-    threads: usize,
-    visited: &AtomicUsize,
-) -> Vec<NodeOut> {
-    let workers = threads.clamp(1, level.len());
-    if workers == 1 {
-        return level
-            .iter()
-            .map(|nd| {
-                visited.fetch_add(1, Ordering::Relaxed);
-                process_node(ctx, events, values, nd, verify_base)
-            })
-            .collect();
-    }
-    // Contiguous chunks keep the merge a simple in-order concatenation:
-    // determinism comes from *where* results land, not from when workers
-    // finish.
-    let chunk = level.len().div_ceil(workers);
-    let mut results: Vec<Vec<NodeOut>> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = level
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    part.iter()
-                        .map(|nd| {
-                            visited.fetch_add(1, Ordering::Relaxed);
-                            process_node(ctx, events, values, nd, verify_base)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("enumeration worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
-}
-
 /// Which evaluator backend a run drives its hot path with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Backend {
-    /// Fused flat IR — the default for [`enumerate_memo`] /
-    /// [`enumerate_par`].
+    /// Fused flat IR — the default for [`enumerate_memo`].
     Compiled,
     /// Tree-walking combinator interpreter — kept only so benchmarks can
     /// quantify the compiled speedup against an otherwise identical
@@ -513,7 +454,6 @@ fn run(
     desc: &Description,
     alphabet: &Alphabet,
     opts: EnumOptions,
-    threads: usize,
     backend: Backend,
 ) -> Enumeration {
     let ctx = Ctx {
@@ -557,14 +497,12 @@ fn run(
         nodes_visited: 0,
         truncated: false,
     };
-    let visited = AtomicUsize::new(0);
+    let mut visited = 0usize;
     let mut level = vec![root];
     let mut verify_base = true; // only the root level lacks the invariant
 
     while !level.is_empty() {
-        let remaining = opts
-            .max_nodes
-            .saturating_sub(visited.load(Ordering::Relaxed));
+        let remaining = opts.max_nodes.saturating_sub(visited);
         let truncated_here = remaining < level.len();
         if truncated_here {
             // Matches the seed BFS exactly: it stops at the first pop past
@@ -576,15 +514,11 @@ fn run(
         if level.is_empty() {
             break;
         }
-        let outs = process_level(
-            &ctx,
-            &events,
-            &values,
-            &level,
-            verify_base,
-            threads,
-            &visited,
-        );
+        visited += level.len();
+        let outs: Vec<NodeOut> = level
+            .iter()
+            .map(|nd| process_node(&ctx, &events, &values, nd, verify_base))
+            .collect();
 
         let mut next: Vec<NodeRec> = Vec::new();
         for (node, nout) in level.iter().zip(outs) {
@@ -639,7 +573,7 @@ fn run(
         level = next;
         verify_base = false;
     }
-    out.nodes_visited = visited.load(Ordering::Relaxed);
+    out.nodes_visited = visited;
     out
 }
 
@@ -647,7 +581,7 @@ fn run(
 /// Section 3.3 tree — same results as [`crate::enumerate::enumerate`],
 /// without the per-node O(depth) replay.
 pub fn enumerate_memo(desc: &Description, alphabet: &Alphabet, opts: EnumOptions) -> Enumeration {
-    run(desc, alphabet, opts, 1, Backend::Compiled)
+    run(desc, alphabet, opts, Backend::Compiled)
 }
 
 /// [`enumerate_memo`] driven by the tree-walking combinator interpreter
@@ -662,59 +596,7 @@ pub fn enumerate_memo_interp(
     alphabet: &Alphabet,
     opts: EnumOptions,
 ) -> Enumeration {
-    run(desc, alphabet, opts, 1, Backend::Interpreted)
-}
-
-/// Parallel frontier expansion over `threads` worker threads
-/// (`threads = 0` uses the machine's available parallelism).
-///
-/// Results are **byte-identical** to [`enumerate_memo`] — and hence to the
-/// seed [`crate::enumerate::enumerate`] — for every thread count; see the
-/// module docs for why.
-///
-/// # Example
-///
-/// ```
-/// use eqp_core::{enumerate, enumerate_par, Alphabet, Description, EnumOptions};
-/// use eqp_seqfn::paper::{ch, r_map, t_bar};
-/// use eqp_trace::Chan;
-///
-/// let b = Chan::new(0);
-/// let desc = Description::new("random-bit").equation(r_map(ch(b)), t_bar());
-/// let alpha = Alphabet::new().with_bits(b);
-/// let seq = enumerate(&desc, &alpha, EnumOptions::default());
-/// let par = enumerate_par(&desc, &alpha, EnumOptions::default(), 4);
-/// assert_eq!(par.solutions, seq.solutions);
-/// assert_eq!(par.nodes_visited, seq.nodes_visited);
-/// ```
-pub fn enumerate_par(
-    desc: &Description,
-    alphabet: &Alphabet,
-    opts: EnumOptions,
-    threads: usize,
-) -> Enumeration {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    run(desc, alphabet, opts, threads, Backend::Compiled)
-}
-
-/// [`enumerate_par`] driven by the tree-walking combinator interpreter —
-/// the benchmark baseline twin of [`enumerate_memo_interp`].
-pub fn enumerate_par_interp(
-    desc: &Description,
-    alphabet: &Alphabet,
-    opts: EnumOptions,
-    threads: usize,
-) -> Enumeration {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    run(desc, alphabet, opts, threads, Backend::Interpreted)
+    run(desc, alphabet, opts, Backend::Interpreted)
 }
 
 #[cfg(test)]
@@ -747,10 +629,6 @@ mod tests {
         let seed = enumerate(desc, alpha, opts);
         assert_same(&enumerate_memo(desc, alpha, opts), &seed);
         assert_same(&enumerate_memo_interp(desc, alpha, opts), &seed);
-        for threads in [2, 3, 8] {
-            assert_same(&enumerate_par(desc, alpha, opts, threads), &seed);
-            assert_same(&enumerate_par_interp(desc, alpha, opts, threads), &seed);
-        }
     }
 
     #[test]

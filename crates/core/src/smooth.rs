@@ -9,10 +9,12 @@
 //! component equation evolve periodically in the prefix length, so a
 //! violation beyond the certificate would have a copy inside it. The
 //! default depth is generous (prefix length plus several cycle rounds
-//! scaled by expression size); callers can demand more with
+//! scaled by expression size and numeric constants); callers can demand
+//! more with
 //! [`is_smooth_at_depth`].
 
 use crate::description::{tuple_leq, Description};
+use eqp_seqfn::SeqExpr;
 use eqp_trace::Trace;
 
 /// The limit condition `f(t) = g(t)` — exact for finite and lasso traces.
@@ -39,20 +41,46 @@ pub fn smoothness_violation(desc: &Description, t: &Trace, depth: usize) -> Opti
 /// dividing the trace's cycle (every combinator maps periodic input
 /// behaviour to periodic output behaviour, with alignment slack bounded by
 /// the expression size), so violations repeat within the certificate
-/// window. Finite traces return their exact length.
+/// window. Numeric constants — skip counts, constant and concatenated
+/// prefix lengths, `EmitFirstAfter`'s `need` — delay that periodic regime
+/// by up to one cycle per unit, so they count towards `k` alongside the
+/// node count. Finite traces return their exact length.
 pub fn default_certificate_depth(desc: &Description, t: &Trace) -> usize {
     match t.len() {
         eqp_trace::lasso::Length::Finite(n) => n,
         eqp_trace::lasso::Length::Infinite => {
             let prefix = t.as_lasso().prefix().len();
             let cycle = t.as_lasso().cycle().len().max(1);
-            let size: usize = desc
+            // saturating: a `Skip(usize::MAX)` is constructible
+            let weight = desc
                 .lhs()
                 .iter()
                 .chain(desc.rhs())
-                .map(eqp_seqfn::SeqExpr::size)
-                .sum();
-            prefix + cycle * (8 + 2 * size)
+                .map(|e| e.size().saturating_add(constant_weight(e)))
+                .fold(0, usize::saturating_add);
+            prefix.saturating_add(cycle.saturating_mul(weight.saturating_mul(2).saturating_add(8)))
+        }
+    }
+}
+
+/// The sum of the numeric constants in `e` that shift its output against
+/// its input: skip counts, constant lengths (prefix plus cycle),
+/// concatenated prefix lengths, and `EmitFirstAfter`'s `need`
+/// (saturating).
+fn constant_weight(e: &SeqExpr) -> usize {
+    match e {
+        SeqExpr::Chan(_) | SeqExpr::Custom(_) => 0,
+        SeqExpr::Const(s) => s.prefix().len() + s.cycle().len(),
+        SeqExpr::Concat(vs, e) => vs.len().saturating_add(constant_weight(e)),
+        SeqExpr::Skip(n, e) => n.saturating_add(constant_weight(e)),
+        SeqExpr::EmitFirstAfter { need, input, .. } => need.saturating_add(constant_weight(input)),
+        SeqExpr::Map(_, e)
+        | SeqExpr::Filter(_, e)
+        | SeqExpr::TakeWhile(_, e)
+        | SeqExpr::CountTicks(e) => constant_weight(e),
+        SeqExpr::Zip(_, a, b) => constant_weight(a).saturating_add(constant_weight(b)),
+        SeqExpr::OracleSelect { data, oracle, .. } => {
+            constant_weight(data).saturating_add(constant_weight(oracle))
         }
     }
 }

@@ -38,6 +38,45 @@ fn arb_finite_trace() -> impl Strategy<Value = Trace> {
     proptest::collection::vec(arb_event(), 0..8).prop_map(Trace::finite)
 }
 
+/// One side of a constant-heavy equation over a channel drawn from
+/// `chans`: skip counts, concatenated and constant prefix lengths, and
+/// `EmitFirstAfter` thresholds all range up to 64 — the numeric constants
+/// the lasso certificate depth must account for.
+fn arb_constant_side(chans: &'static [u32]) -> impl Strategy<Value = SeqExpr> {
+    let chan = (0..chans.len()).prop_map(move |i| ch(Chan::new(chans[i])));
+    let k = 0usize..=64;
+    prop_oneof![
+        chan.clone(),
+        (k.clone(), chan.clone()).prop_map(|(k, e)| SeqExpr::skip(k, e)),
+        (k.clone(), chan.clone()).prop_map(|(n, e)| SeqExpr::concat(vec![Value::Int(0); n], e)),
+        (k.clone(), 0i64..2, chan).prop_map(|(need, add, e)| SeqExpr::EmitFirstAfter {
+            need,
+            add,
+            input: Box::new(e),
+        }),
+        k.prop_map(|n| SeqExpr::const_ints(vec![0; n])),
+    ]
+}
+
+/// A fixed paper description or a random constant-heavy equation over
+/// the channels in `chans`.
+fn arb_certified_description(
+    fixed: Description,
+    chans: &'static [u32],
+) -> impl Strategy<Value = Description> {
+    prop_oneof![
+        Just(fixed),
+        (arb_constant_side(chans), arb_constant_side(chans))
+            .prop_map(|(f, g)| Description::new("constants").equation(f, g)),
+    ]
+}
+
+fn net23() -> Description {
+    Description::new("net23")
+        .equation(even(ch(d())), prepend_int(0, twice(ch(d()))))
+        .equation(odd(ch(d())), SeqExpr::affine(2, 1, ch(d())))
+}
+
 proptest! {
     /// Theorem 1: for the independent dfm description, the general
     /// (staggered-pair) smooth check agrees with the per-prefix check on
@@ -184,16 +223,15 @@ proptest! {
     /// Certificate validation: for random lasso traces, any smoothness
     /// violation that exists within 4× the default certificate depth is
     /// already found within the certificate depth — empirical support for
-    /// the periodicity argument behind `default_certificate_depth`.
+    /// the periodicity argument behind `default_certificate_depth`,
+    /// including descriptions whose numeric constants reach 64.
     #[test]
     fn certificate_depth_sufficient_on_lassos(
+        desc in arb_certified_description(net23(), &[2]),
         prefix in proptest::collection::vec(-2i64..4, 0..4),
         cycle in proptest::collection::vec(-2i64..4, 1..4),
     ) {
         use eqp_core::smooth::{default_certificate_depth, smoothness_violation};
-        let desc = Description::new("net23")
-            .equation(even(ch(d())), prepend_int(0, twice(ch(d()))))
-            .equation(odd(ch(d())), SeqExpr::affine(2, 1, ch(d())));
         let t = Trace::lasso(
             prefix.iter().map(|&n| Event::int(d(), n)).collect::<Vec<_>>(),
             cycle.iter().map(|&n| Event::int(d(), n)).collect::<Vec<_>>(),
@@ -205,14 +243,14 @@ proptest! {
     }
 
     /// The same certificate validation for the dfm description over
-    /// random two-channel lassos.
+    /// random three-channel lassos.
     #[test]
     fn certificate_depth_sufficient_dfm(
+        desc in arb_certified_description(dfm(), &[0, 1, 2]),
         prefix in proptest::collection::vec((0u32..3usize as u32, -2i64..4), 0..4),
         cycle in proptest::collection::vec((0u32..3, -2i64..4), 1..4),
     ) {
         use eqp_core::smooth::{default_certificate_depth, smoothness_violation};
-        let desc = dfm();
         let mk = |v: &Vec<(u32, i64)>| {
             v.iter()
                 .map(|&(c, n)| Event::int(Chan::new(c), n))
@@ -229,9 +267,7 @@ proptest! {
     /// deep; passing deep ⇒ passing shallow.
     #[test]
     fn smooth_depth_monotone(t in arb_finite_trace(), d1 in 0usize..6, d2 in 6usize..16) {
-        let desc = Description::new("net23")
-            .equation(even(ch(d())), prepend_int(0, twice(ch(d()))))
-            .equation(odd(ch(d())), SeqExpr::affine(2, 1, ch(d())));
+        let desc = net23();
         if is_smooth_at_depth(&desc, &t, d2) {
             prop_assert!(is_smooth_at_depth(&desc, &t, d1));
         }

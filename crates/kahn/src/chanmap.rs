@@ -1,9 +1,8 @@
 //! A [`HashMap`] keyed by [`Chan`] with a trivial multiplicative hasher.
 //!
 //! Channel queues are the engine's hottest data structure: every step
-//! pays several `Chan → queue` lookups, and the sharded runtime's
-//! commit protocol multiplies that (local queues, the canonical mirror,
-//! consumer routing). `Chan` is a dense application-chosen `u32`, so
+//! pays several `Chan → queue` lookups. `Chan` is a dense
+//! application-chosen `u32`, so
 //! SipHash's DoS resistance buys nothing here and costs ~15ns per
 //! lookup; a Fibonacci multiply-and-fold spreads sequential ids across
 //! buckets just as well for ~1ns.

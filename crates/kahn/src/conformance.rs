@@ -19,7 +19,7 @@
 //!
 //! Smoothness is a per-step invariant, so a finite trace is certified in
 //! one left-to-right replay through a
-//! [`SmoothnessMonitor`](crate::monitor::SmoothnessMonitor) — linear in
+//! [`crate::monitor::SmoothnessMonitor`] — linear in
 //! the trace length. [`eqp_core::diagnose`], which re-evaluates both
 //! sides at every prefix pair, stays the reference the differential
 //! suites compare against; lasso (infinite) traces still go through it

@@ -70,7 +70,7 @@
 //!   [`RunReport::sketches`] carries fixed-memory mergeable summaries
 //!   (queue-depth/message-wait quantiles, heavy-hitter channels,
 //!   distinct-value estimate; [`TelemetrySketches`]) captured inline at
-//!   a gated ≤5% cost, identical across every backend and shard count,
+//!   a gated ≤5% cost, identical across every backend,
 //!   accumulated through checkpoint resume, and merged fleet-wide by
 //!   `eqpd`. Checkpoint images (wire v2) validate and resume through
 //!   the borrowing [`CheckpointView`] — full structural certification
@@ -94,10 +94,7 @@
 //! assert_eq!(run.trace.seq_on(d).take(3), vec![Value::Int(2), Value::Int(4), Value::Int(6)]);
 //! ```
 
-// `deny` rather than `forbid`: the SPSC ring module ([`spsc`]) opts in
-// with a module-level allow and per-site SAFETY arguments; everything
-// else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub(crate) mod chanmap;
@@ -113,9 +110,7 @@ pub mod procs;
 pub mod reliable;
 pub mod report;
 pub mod scheduler;
-pub mod shard;
 pub mod snapshot;
-pub mod spsc;
 pub mod supervisor;
 pub mod wire;
 
@@ -137,7 +132,6 @@ pub use report::{
 };
 pub use scheduler::{Adversarial, RandomSched, RoundRobin, Scheduler};
 pub use snapshot::{Checkpoint, SnapshotError, StateCell};
-pub use spsc::{ring, Spsc, SpscReceiver};
 pub use supervisor::{RecoveryRecord, RestartPolicy, RestoreMethod, SupervisorOptions};
 pub use wire::{decode_checkpoint, encode_checkpoint, CheckpointView, WireError};
 

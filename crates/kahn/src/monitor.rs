@@ -28,7 +28,7 @@
 //! being available.
 //!
 //! The monitor produces the *same* [`SmoothReport`] / [`Conformance`] /
-//! [`Verdict`] as [`eqp_core::diagnose`]: violations are recorded in the
+//! [`Verdict`](crate::conformance::Verdict) as [`eqp_core::diagnose`]: violations are recorded in the
 //! same `(u, v)`-pair-then-component order, and the final verdict is
 //! derived by the shared [`verdict_for`]. The differential suite
 //! `tests/monitor_equivalence.rs` pins this equivalence across the zoo,

@@ -270,8 +270,8 @@ impl Checkpoint {
     /// queues (in channel order), trace, RNG, telemetry, counters,
     /// process cells, scheduler cell, and round position. Two
     /// checkpoints with equal fingerprints captured byte-identical run
-    /// states; the sharded differential suite uses this to assert that
-    /// checkpoints agree across every shard count.
+    /// states; the wire round-trip tests use this to assert that a
+    /// decoded image is the checkpoint that was encoded.
     pub fn fingerprint(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};

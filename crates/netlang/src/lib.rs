@@ -14,7 +14,7 @@
 //! through [`eqp_seqfn::SeqExpr::compile`] into runnable
 //! [`Network`](eqp_kahn::Network)s whose processes all participate in
 //! snapshot/restore, so tenant networks ride the entire existing stack:
-//! checkpointing, supervision, ARQ, monitoring, sharding, and the `eqpd`
+//! checkpointing, supervision, ARQ, monitoring, and the `eqpd`
 //! evict-resume journal.
 //!
 //! # Example

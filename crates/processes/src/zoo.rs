@@ -132,46 +132,6 @@ impl ZooEntry {
         )
     }
 
-    /// [`certify`](ZooEntry::certify) on the sharded multicore runtime
-    /// ([`eqp_kahn::shard`]): the network's processes are partitioned
-    /// across `shards` worker threads under the epoch-commit protocol.
-    /// The report (trace, telemetry, counters, status) is byte-identical
-    /// for every shard count — the differential suite pins exactly that.
-    pub fn certify_sharded(
-        &self,
-        sched: &mut dyn Scheduler,
-        seed: u64,
-        shards: usize,
-    ) -> (RunReport, Conformance) {
-        let mut net = self.network(seed);
-        let report =
-            net.run_report_sharded(&mut &mut *sched, self.run_options(seed).with_shards(shards));
-        let conf = self.check(&report);
-        (report, conf)
-    }
-
-    /// [`certify_monitored`](ZooEntry::certify_monitored) on the sharded
-    /// runtime: the online monitor consumes the canonical committed event
-    /// order at epoch boundaries, so its verdict is likewise independent
-    /// of the shard count.
-    pub fn certify_sharded_monitored(
-        &self,
-        sched: &mut dyn Scheduler,
-        seed: u64,
-        shards: usize,
-        policy: MonitorPolicy,
-    ) -> (RunReport, Conformance) {
-        let mut net = self.network(seed);
-        let desc = self.description();
-        net.run_report_sharded_monitored(
-            &desc,
-            &mut &mut *sched,
-            self.run_options(seed)
-                .with_shards(shards)
-                .with_monitor(policy),
-        )
-    }
-
     /// [`certify_monitored`](ZooEntry::certify_monitored) under an
     /// engine-level [`FaultSchedule`] without supervision — faults are
     /// convicted *as they corrupt the trace*, not after the run.

@@ -7,8 +7,8 @@
 //! crash), reliable (ARQ) wrapping including graceful degradation,
 //! mid-run checkpoint/resume of monitor state, lasso-source netlang
 //! pipelines (whose source equation is an infinite constant), random
-//! tenant programs, and drop/duplicate faults convicting on a constant
-//! side.
+//! tenant programs, drop/duplicate faults convicting on a constant side,
+//! and a network wide enough to spill past the 128-bit channel masks.
 //!
 //! The comparison is the honest one: each run's own `RunReport` is fed to
 //! the oracle, so every path judges the *same* trace; and a monitored
@@ -30,9 +30,9 @@ use eqp::kahn::{
 };
 use eqp::processes::bag;
 use eqp::processes::zoo::{conformance_zoo, ZooEntry};
-use eqp::seqfn::paper::ch;
+use eqp::seqfn::paper::{ch, twice};
 use eqp::seqfn::{CompiledSideEval, SeqExpr};
-use eqp::trace::{Chan, Trace, Value};
+use eqp::trace::{Chan, Lasso, Trace, Value};
 use eqp_netlang::{parse, random_program, NetLimits, NetProgram};
 use eqpd::spec::MAX_TRACE_EVENTS;
 use std::time::{Duration, Instant};
@@ -575,4 +575,62 @@ fn largest_checkable_trace_certifies_in_linear_time() {
     );
     assert_eq!(conf.report, report);
     assert_eq!(conf.checked, prefix);
+}
+
+/// 110 independent source → doubler lanes, 220 channels. Channel ids run
+/// past 128, so the compiled support masks overflow and the
+/// exact-`ChanSet` fallback carries the monitor's channel bookkeeping.
+#[test]
+fn wide_network_monitored_certifies_like_the_oracle() {
+    const LANES: usize = 110;
+    let lane = |i: usize| {
+        let (input, output) = (Chan::new(2 * i as u32), Chan::new(2 * i as u32 + 1));
+        let feed: Vec<Value> = (1..=3).map(|v| Value::Int(v + i as i64)).collect();
+        (input, output, feed)
+    };
+    let build = || {
+        let mut net = Network::new();
+        for i in 0..LANES {
+            let (input, output, feed) = lane(i);
+            net.add(procs::Source::new(format!("env-{i}"), input, feed));
+            net.add(procs::Apply::int_affine(
+                format!("double-{i}"),
+                input,
+                output,
+                2,
+                0,
+            ));
+        }
+        net
+    };
+    let mut desc = Description::new("wide-lanes");
+    for i in 0..LANES {
+        let (input, output, feed) = lane(i);
+        desc = desc
+            .defines(input, SeqExpr::constant(Lasso::finite(feed)))
+            .defines(output, twice(ch(input)));
+    }
+    assert!(
+        desc.channels().iter().max().map_or(0, |c| c.index()) >= 200,
+        "the wide network must spill past the 128-bit support mask"
+    );
+
+    let opts = RunOptions {
+        max_steps: 2000,
+        seed: 21,
+        ..RunOptions::default()
+    };
+    let (report, online) = build().run_report_monitored(&desc, &mut RandomSched::new(21), opts);
+    assert!(report.quiescent, "wide network must quiesce");
+    assert_eq!(
+        assert_certified("wide-lanes", &desc, &report, &online),
+        Verdict::SmoothSolution,
+        "wide network must certify as a solution: {online}"
+    );
+    // observation is pure: the monitored trace is the plain run's
+    let plain = build().run_report(&mut RandomSched::new(21), opts);
+    assert_eq!(
+        plain.trace, report.trace,
+        "the monitor must not perturb the run"
+    );
 }
