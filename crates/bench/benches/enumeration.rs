@@ -1,9 +1,6 @@
 //! E13 — the enumeration engine shootout: seed BFS ([`enumerate`]) vs the
-//! prefix-sharing incremental engine ([`enumerate_memo`]) over the
-//! Fig. 1–7 process zoo — the incremental engine in both its compiled-IR
-//! (default) and tree-walking interpreter ([`enumerate_memo_interp`])
-//! backends, so the compiled-vs-interpreted column is measured on
-//! otherwise identical engines.
+//! depth-first incremental engine ([`enumerate_memo`]) over the Fig. 1–7
+//! process zoo.
 //!
 //! Besides the usual criterion output this target emits a machine-readable
 //! `BENCH_enumeration.json` at the repository root with nodes/sec per
@@ -16,9 +13,7 @@
 
 use criterion::Criterion;
 use eqp_core::description::Alphabet;
-use eqp_core::{
-    enumerate, enumerate_memo, enumerate_memo_interp, Description, EnumOptions, Enumeration,
-};
+use eqp_core::{enumerate, enumerate_memo, Description, EnumOptions, Enumeration};
 use eqp_processes::{brock_ackermann as ba, dfm, fork, implication, ticks};
 use std::hint::black_box;
 
@@ -125,20 +120,11 @@ fn main() {
             &enumerate_memo(&w.desc, &w.alpha, w.opts),
             &seed,
         );
-        assert_identical(
-            w.name,
-            "memo-interp",
-            &enumerate_memo_interp(&w.desc, &w.alpha, w.opts),
-            &seed,
-        );
 
         let mut g = c.benchmark_group(format!("enumeration/{}", w.name));
         g.sample_size(10);
         g.bench_function("seed", |b| {
             b.iter(|| black_box(enumerate(&w.desc, &w.alpha, w.opts).nodes_visited))
-        });
-        g.bench_function("memo-interp", |b| {
-            b.iter(|| black_box(enumerate_memo_interp(&w.desc, &w.alpha, w.opts).nodes_visited))
         });
         g.bench_function("memo", |b| {
             b.iter(|| black_box(enumerate_memo(&w.desc, &w.alpha, w.opts).nodes_visited))
@@ -154,7 +140,7 @@ fn main() {
                 .expect("bench result present")
         };
         let seed_ns = median("seed");
-        let engines = ["seed", "memo-interp", "memo"]
+        let engines = ["seed", "memo"]
             .into_iter()
             .map(|engine| {
                 let ns = median(engine);

@@ -1,25 +1,53 @@
-//! The prefix-sharing, incrementally evaluating enumeration engine for the
-//! Section 3.3 tree ([`enumerate_memo`]), a level-synchronous BFS.
+//! The depth-first, incrementally evaluating enumeration engine for the
+//! Section 3.3 tree ([`enumerate_memo`]).
 //!
 //! It produces results **identical** to [`crate::enumerate::enumerate`]
 //! (same solutions, dead ends, frontier, visit count, truncation flag, all
-//! in the same order) while avoiding the seed engine's two per-node
-//! O(depth) costs:
+//! in the same order) without the seed engine's per-node O(depth) replay.
+//! The walk is depth-first over an explicit stack and holds only the
+//! current path:
 //!
-//! * **Traces** live in a [`ChainArena`]: extending a node by one event is
-//!   one arena push instead of a `Vec` copy, and sibling subtrees share
-//!   their common prefix storage.
-//! * **Description sides** are evaluated *incrementally* off the **compiled
-//!   IR**: each side is lowered once per run to a [`CompiledExpr`] (fused
-//!   instructions, interned channel masks — see [`eqp_seqfn::compile`]),
-//!   each node carries a [`CompiledDeltaState`] per supported side, and the
-//!   feasibility test `f(u·e) ⊑ g(u)` inspects only the values *appended*
-//!   by the new event. Sides that do not support delta evaluation (infinite
-//!   constants, opaque custom functions without the
-//!   [`eqp_seqfn::SeqFunction::delta_init`] hook) transparently fall back
-//!   to full re-evaluation, exactly as the seed engine does for every
-//!   side. The tree-walking [`DeltaState`] backend is retained behind
-//!   [`enumerate_memo_interp`] purely as the benchmark baseline.
+//! * the path's events;
+//! * per description side, the side's output along the path as a plain
+//!   `Vec<Value>`, truncated on backtrack, so `g_i(u)[k]` is an index;
+//! * per depth and side, one [`CompiledDeltaState`], refilled with
+//!   `clone_from` when a child's event is one the side reads (a side that
+//!   does not read it keeps pointing at its ancestor's state);
+//! * per depth, a bucket of the classified nodes, with their paths held as
+//!   parent links until the end.
+//!
+//! Memory is O(depth) plus O(1) per classified node, and apart from
+//! recording those the walk allocates nothing per node once it has reached
+//! its deepest level. Sides the incremental evaluator cannot handle
+//! (infinite constants, opaque custom functions without the
+//! [`eqp_seqfn::SeqFunction::delta_init`] hook) are re-evaluated from the
+//! path, exactly as the seed engine evaluates every side.
+//!
+//! # Why depth-first reproduces the breadth-first order
+//!
+//! The seed BFS visits level `k` in lexicographic order of the events'
+//! alphabet positions along each path, and a pre-order walk reaches the
+//! nodes of depth `k` in that same order. Concatenating the per-depth
+//! buckets therefore reproduces exactly the BFS order.
+//!
+//! # Truncation
+//!
+//! The BFS visits the first `max_nodes` nodes in its order. With `N_k` the
+//! number of tree nodes of depth at most `k`, and `k` the first level with
+//! `N_k ≥ max_nodes`, those are every node above level `k` plus the first
+//! `max_nodes − N_{k−1}` nodes of level `k`, counted in pre-order.
+//!
+//! The walk stops as soon as it meets node `max_nodes + 1`. If it never
+//! does, the tree is within the cap and the walk's result stands. If it
+//! does, the BFS is truncated, and the walk has met its nodes in an order
+//! that may reach deep levels the BFS never visits. Counting walks,
+//! each depth-limited and stopped at `max_nodes` nodes, then binary-search
+//! for `k` (the aborted walk's per-depth counts give the upper end) and
+//! yield `N_{k−1}` exactly. A last walk to depth `k` classifies every node
+//! above it and the first `max_nodes − N_{k−1}` nodes of level `k`, by the
+//! has-son test, as the BFS does. Every walk visits at most
+//! `max_nodes + 1` nodes, so a truncated enumeration costs
+//! O(`max_nodes` · log `max_nodes`) node visits.
 //!
 //! # Why the delta check is sound
 //!
@@ -28,575 +56,462 @@
 //! `f_i(u) ⊑ g_i(u)` per equation: admission checked `f_i(u) ⊑ g_i(p)` for
 //! the parent `p`, and `g_i` is monotone, so `g_i(p) ⊑ g_i(u)`. Feasibility
 //! of a child `u·e` therefore only requires comparing the values `Δ` that
-//! `f_i` appends against `g_i(u)` at positions `|f_i(u)|‥|f_i(u)|+|Δ|` —
-//! O(|Δ| log depth) instead of O(depth). The same invariant collapses the
-//! limit condition `f_i(u) = g_i(u)` to a pair of length comparisons.
+//! `f_i` appends against `g_i(u)` at positions `|f_i(u)|‥|f_i(u)|+|Δ|`.
+//! The same invariant collapses the limit condition `f_i(u) = g_i(u)` to a
+//! length comparison.
 
 use crate::description::{Alphabet, Description};
 use crate::enumerate::{EnumOptions, Enumeration};
-use eqp_seqfn::{CompiledDeltaState, CompiledExpr, DeltaState, SeqExpr};
-use eqp_trace::{ChainArena, ChainId, Chan, ChanSet, Event, Lasso, Seq, Trace, Value};
-use std::sync::Arc;
+use eqp_seqfn::{CompiledDeltaState, CompiledExpr};
+use eqp_trace::{Event, Lasso, Seq, Trace, Value};
 
-/// One description side as the engine evaluates it — either the compiled
-/// IR (the default: fused instructions, interned channel masks) or the
-/// original combinator tree (retained so benchmarks can measure exactly
-/// what compilation buys; see [`enumerate_memo_interp`]).
-#[derive(Debug)]
-enum SideFn {
-    Compiled(CompiledExpr),
-    Interp {
-        expr: SeqExpr,
-        /// Channel support, computed once per run (the expression itself
-        /// recomputes it on every `channels()` call).
-        support: ChanSet,
-    },
+/// Which result list a classified node goes to.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Solution,
+    DeadEnd,
+    Frontier,
 }
 
-impl SideFn {
-    fn delta_init(&self) -> Option<(AnyState, Vec<Value>)> {
-        match self {
-            SideFn::Compiled(c) => c
-                .delta_init()
-                .map(|(st, out)| (AnyState::Compiled(st), out)),
-            SideFn::Interp { expr, .. } => expr
-                .delta_init()
-                .map(|(st, out)| (AnyState::Interp(st), out)),
-        }
-    }
-
-    fn eval(&self, t: &Trace) -> Seq {
-        match self {
-            SideFn::Compiled(c) => c.eval(t),
-            SideFn::Interp { expr, .. } => expr.eval(t),
-        }
-    }
-
-    /// `false` means events on `c` provably leave this side's output and
-    /// state unchanged. For the compiled form this is one bitmask test —
-    /// and can be *smaller* than the syntactic support when the optimizer
-    /// erased a subtree (e.g. a zip against a constant `ε`).
-    fn reads(&self, c: Chan) -> bool {
-        match self {
-            SideFn::Compiled(cc) => cc.reads(c),
-            SideFn::Interp { support, .. } => support.contains(c),
-        }
-    }
-}
-
-/// A per-node incremental evaluator state for either backend.
-#[derive(Debug, Clone)]
-enum AnyState {
-    Compiled(CompiledDeltaState),
-    Interp(DeltaState),
-}
-
-impl AnyState {
-    fn step(&mut self, ev: Event) -> Vec<Value> {
-        match self {
-            AnyState::Compiled(st) => st.step(ev),
-            AnyState::Interp(st) => st.step(ev),
-        }
-    }
-}
-
-/// One side (one equation's `f_i` or `g_i`) of one node.
-///
-/// States are held behind `Arc` so that a child whose new event lies
-/// outside a side's channel support (the common case for multi-channel
-/// descriptions: the side provably appends nothing and its state does not
-/// change) shares the parent's state instead of deep-cloning it.
-#[derive(Debug)]
-enum Side {
-    /// Incrementally evaluated: the delta state after this node's trace,
-    /// and the (finite) output so far as a chain in the value arena.
-    Inc {
-        state: Arc<AnyState>,
-        chain: ChainId,
-    },
-    /// Delta evaluation unsupported: recompute from the trace on demand.
-    Full,
-}
-
-/// A node of the current BFS level.
-#[derive(Debug)]
-struct NodeRec {
-    trace: ChainId,
-    depth: usize,
-    lhs: Vec<Side>,
-    rhs: Vec<Side>,
-}
-
-/// Output for one admitted child (arena pushes are deferred to the level
-/// merge, so node processing only reads the arenas).
-struct ChildOut {
-    event: Event,
-    lhs: Vec<SideOut>,
-    rhs: Vec<SideOut>,
-}
-
-enum SideOut {
-    Inc {
-        state: Arc<AnyState>,
-        delta: Vec<Value>,
-    },
-    Full,
-}
-
-/// Output for one visited node.
-struct NodeOut {
-    is_solution: bool,
-    /// Meaningful only at the depth bound (children are not expanded
-    /// there).
+/// The path node at one depth.
+#[derive(Debug, Default, Clone, Copy)]
+struct Frame {
+    /// Alphabet position of the next child to try.
+    next: usize,
     has_son: bool,
-    children: Vec<ChildOut>,
+    is_solution: bool,
+    /// This node's entry in [`Walk::links`], once some classified node
+    /// descends from it.
+    link: Option<usize>,
 }
 
-/// The right side of one equation at the current node, however it is
-/// represented.
-enum RhsView {
-    Chain(ChainId),
-    Lasso(Seq),
+/// The link of the root, whose path is empty.
+const ROOT: usize = usize::MAX;
+
+/// What [`Walk::descend`] did.
+enum Next {
+    /// Entered a child.
+    Child,
+    /// The node has no more children to visit.
+    Done,
+    /// A child would exceed the walk's node budget.
+    Abort,
 }
 
-fn rhs_get(values: &ChainArena<Value>, view: &RhsView, k: usize) -> Option<Value> {
-    match view {
-        RhsView::Chain(c) => values.get(*c, k).copied(),
-        RhsView::Lasso(s) => s.get(k).copied(),
-    }
-}
-
-fn rhs_len_is(values: &ChainArena<Value>, view: &RhsView, n: usize) -> bool {
-    match view {
-        RhsView::Chain(c) => values.chain_len(*c) == n,
-        RhsView::Lasso(s) => s.len().as_finite() == Some(n),
-    }
-}
-
-fn rhs_len_at_least(values: &ChainArena<Value>, view: &RhsView, n: usize) -> bool {
-    match view {
-        RhsView::Chain(c) => values.chain_len(*c) >= n,
-        RhsView::Lasso(s) => s.len().as_finite().is_none_or(|m| m >= n),
-    }
-}
-
-struct Ctx<'a> {
-    desc: &'a Description,
-    alphabet: &'a Alphabet,
+struct Walk<'a> {
+    /// `f_1‥f_n` then `g_1‥g_n`.
+    sides: Vec<&'a CompiledExpr>,
+    arity: usize,
+    /// The alphabet's events, in the seed's child order.
+    events: Vec<Event>,
     max_depth: usize,
-    /// Per-equation evaluators for `f_i` / `g_i`, built once per run:
-    /// compiled IR by default, interpreted trees for the baseline engine.
-    lhs_fns: Vec<SideFn>,
-    rhs_fns: Vec<SideFn>,
+    /// Per side: evaluated incrementally (else re-evaluated from the path).
+    inc: Vec<bool>,
+    /// Per equation: `g_i(u)` is needed as a lasso (some side of it is
+    /// re-evaluated).
+    needs_seq: Vec<bool>,
+    path: Vec<Event>,
+    /// Per side: its output along the path.
+    outs: Vec<Vec<Value>>,
+    frames: Vec<Frame>,
+    /// Per depth × side: the side's output length at that depth's node.
+    lens: Vec<usize>,
+    /// Per depth × side: the depth whose state slot holds the node's state.
+    owner: Vec<usize>,
+    /// Per depth × side: a state slot (`None` for re-evaluated sides).
+    states: Vec<Option<CompiledDeltaState>>,
+    /// Per depth × equation: `g_i(u)` where `needs_seq[i]`.
+    rhs_seqs: Vec<Option<Seq>>,
+    /// This walk's depth bound: nodes at it are not expanded.
+    limit: usize,
+    /// This walk visits only the first `cut` nodes at depth `limit`.
+    cut: usize,
+    /// This walk stops at its node `budget + 1`.
+    budget: usize,
+    /// This walk classifies nodes (else it only counts them).
+    record: bool,
+    /// Nodes visited per depth.
+    counts: Vec<usize>,
+    total: usize,
+    /// Per depth: the classified nodes, in pre-order, as (kind, path link).
+    found: Vec<Vec<(Kind, usize)>>,
+    /// Path links: (parent link, last event).
+    links: Vec<(usize, Event)>,
 }
 
-/// Everything `process_node` derives from a node before trying events.
-struct NodeScratch {
-    rhs_views: Vec<RhsView>,
-    /// `g_i(u)` as lassos — needed only when some `f_i` lacks delta
-    /// support and must be compared via [`Lasso::leq`].
-    rhs_lassos: Option<Vec<Seq>>,
-    /// The materialized trace events — needed only when some side lacks
-    /// delta support.
-    u_events: Option<Vec<Event>>,
-}
-
-fn make_scratch(
-    ctx: &Ctx<'_>,
-    events: &ChainArena<Event>,
-    values: &ChainArena<Value>,
-    node: &NodeRec,
-) -> NodeScratch {
-    let needs_trace = node
-        .lhs
-        .iter()
-        .chain(node.rhs.iter())
-        .any(|s| matches!(s, Side::Full));
-    let u_events = needs_trace.then(|| events.items(node.trace));
-    let u_trace = u_events.as_ref().map(|evs| Trace::finite(evs.clone()));
-    let rhs_views: Vec<RhsView> = node
-        .rhs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| match s {
-            Side::Inc { chain, .. } => RhsView::Chain(*chain),
-            Side::Full => RhsView::Lasso(ctx.rhs_fns[i].eval(u_trace.as_ref().expect("trace"))),
-        })
-        .collect();
-    let any_full_lhs = node.lhs.iter().any(|s| matches!(s, Side::Full));
-    let rhs_lassos = any_full_lhs.then(|| {
-        rhs_views
+impl<'a> Walk<'a> {
+    fn new(desc: &'a Description, alphabet: &Alphabet, max_depth: usize) -> Walk<'a> {
+        let sides: Vec<&CompiledExpr> = desc
+            .lhs_compiled()
             .iter()
-            .map(|v| match v {
-                RhsView::Chain(c) => Lasso::finite(values.items(*c)),
-                RhsView::Lasso(s) => s.clone(),
-            })
-            .collect()
-    });
-    NodeScratch {
-        rhs_views,
-        rhs_lassos,
-        u_events,
-    }
-}
-
-/// Tests `f(u·ev) ⊑ g(u)`; on success returns the per-side states and
-/// appended values for the child (with `want_child = false`, side outputs
-/// are skipped — only existence matters, as in the seed's `has_son`).
-#[allow(clippy::too_many_arguments)] // internal; grouping loses clarity
-fn check_child(
-    ctx: &Ctx<'_>,
-    values: &ChainArena<Value>,
-    node: &NodeRec,
-    scratch: &NodeScratch,
-    verify_base: bool,
-    ev: Event,
-    want_child: bool,
-) -> Option<ChildOut> {
-    let arity = ctx.desc.arity();
-    let mut lhs_out = Vec::with_capacity(if want_child { arity } else { 0 });
-    for i in 0..arity {
-        match &node.lhs[i] {
-            Side::Inc { state, chain } => {
-                let foreign = !ctx.lhs_fns[i].reads(ev.chan);
-                if foreign && !verify_base {
-                    // Appends nothing; `f_i(u) ⊑ g_i(u)` (the invariant)
-                    // is already the whole check. Share the state.
-                    if want_child {
-                        lhs_out.push(SideOut::Inc {
-                            state: Arc::clone(state),
-                            delta: Vec::new(),
-                        });
-                    }
-                    continue;
-                }
-                let (next_state, delta) = if foreign {
-                    (Arc::clone(state), Vec::new())
-                } else {
-                    let mut st = (**state).clone();
-                    let delta = st.step(ev);
-                    (Arc::new(st), delta)
-                };
-                let l = values.chain_len(*chain);
-                let view = &scratch.rhs_views[i];
-                if !rhs_len_at_least(values, view, l + delta.len()) {
-                    return None;
-                }
-                if verify_base {
-                    // The root's prefix invariant is not established yet:
-                    // verify the already-emitted values too.
-                    for k in 0..l {
-                        if values.get(*chain, k).copied() != rhs_get(values, view, k) {
-                            return None;
-                        }
-                    }
-                }
-                for (k, v) in delta.iter().enumerate() {
-                    if Some(*v) != rhs_get(values, view, l + k) {
-                        return None;
-                    }
-                }
-                if want_child {
-                    lhs_out.push(SideOut::Inc {
-                        state: next_state,
-                        delta,
-                    });
-                }
-            }
-            Side::Full => {
-                let mut evs = scratch.u_events.as_ref().expect("trace").clone();
-                evs.push(ev);
-                let lhs_v = ctx.lhs_fns[i].eval(&Trace::finite(evs));
-                if !lhs_v.leq(&scratch.rhs_lassos.as_ref().expect("lassos")[i]) {
-                    return None;
-                }
-                if want_child {
-                    lhs_out.push(SideOut::Full);
-                }
-            }
-        }
-    }
-    if !want_child {
-        return Some(ChildOut {
-            event: ev,
-            lhs: Vec::new(),
-            rhs: Vec::new(),
-        });
-    }
-    let rhs_out = node
-        .rhs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| match s {
-            Side::Inc { state, .. } if !ctx.rhs_fns[i].reads(ev.chan) => SideOut::Inc {
-                state: Arc::clone(state),
-                delta: Vec::new(),
-            },
-            Side::Inc { state, .. } => {
-                let mut st = (**state).clone();
-                let delta = st.step(ev);
-                SideOut::Inc {
-                    state: Arc::new(st),
-                    delta,
-                }
-            }
-            Side::Full => SideOut::Full,
-        })
-        .collect();
-    Some(ChildOut {
-        event: ev,
-        lhs: lhs_out,
-        rhs: rhs_out,
-    })
-}
-
-fn process_node(
-    ctx: &Ctx<'_>,
-    events: &ChainArena<Event>,
-    values: &ChainArena<Value>,
-    node: &NodeRec,
-    verify_base: bool,
-) -> NodeOut {
-    let arity = ctx.desc.arity();
-    let scratch = make_scratch(ctx, events, values, node);
-
-    // Limit condition f(u) = g(u). With the prefix invariant (non-root),
-    // per-equation equality is exactly length equality; the root verifies
-    // contents too.
-    let is_solution = (0..arity).all(|i| match &node.lhs[i] {
-        Side::Inc { chain, .. } => {
-            let l = values.chain_len(*chain);
-            rhs_len_is(values, &scratch.rhs_views[i], l)
-                && (!verify_base
-                    || (0..l).all(|k| {
-                        values.get(*chain, k).copied() == rhs_get(values, &scratch.rhs_views[i], k)
-                    }))
-        }
-        Side::Full => {
-            let evs = scratch.u_events.as_ref().expect("trace").clone();
-            ctx.lhs_fns[i].eval(&Trace::finite(evs))
-                == scratch.rhs_lassos.as_ref().expect("lassos")[i]
-        }
-    });
-
-    if node.depth >= ctx.max_depth {
-        let has_son = ctx.alphabet.iter().any(|(c, msgs)| {
-            msgs.iter().any(|m| {
-                check_child(
-                    ctx,
-                    values,
-                    node,
-                    &scratch,
-                    verify_base,
-                    Event::new(c, *m),
-                    false,
-                )
-                .is_some()
-            })
-        });
-        return NodeOut {
-            is_solution,
-            has_son,
-            children: Vec::new(),
-        };
-    }
-
-    let mut children = Vec::new();
-    for (c, msgs) in ctx.alphabet.iter() {
-        for m in msgs {
-            if let Some(child) = check_child(
-                ctx,
-                values,
-                node,
-                &scratch,
-                verify_base,
-                Event::new(c, *m),
-                true,
-            ) {
-                children.push(child);
-            }
-        }
-    }
-    NodeOut {
-        is_solution,
-        has_son: false,
-        children,
-    }
-}
-
-/// Which evaluator backend a run drives its hot path with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// Fused flat IR — the default for [`enumerate_memo`].
-    Compiled,
-    /// Tree-walking combinator interpreter — kept only so benchmarks can
-    /// quantify the compiled speedup against an otherwise identical
-    /// engine.
-    Interpreted,
-}
-
-fn build_side_fns(exprs: &[SeqExpr], compiled: &[CompiledExpr], backend: Backend) -> Vec<SideFn> {
-    match backend {
-        // The description already carries each side's compiled form; reuse
-        // it (an `Arc` bump per side) instead of re-lowering.
-        Backend::Compiled => compiled.iter().cloned().map(SideFn::Compiled).collect(),
-        Backend::Interpreted => exprs
-            .iter()
-            .map(|e| SideFn::Interp {
-                expr: e.clone(),
-                support: e.channels(),
-            })
-            .collect(),
-    }
-}
-
-fn run(
-    desc: &Description,
-    alphabet: &Alphabet,
-    opts: EnumOptions,
-    backend: Backend,
-) -> Enumeration {
-    let ctx = Ctx {
-        desc,
-        alphabet,
-        max_depth: opts.max_depth,
-        lhs_fns: build_side_fns(desc.lhs(), desc.lhs_compiled(), backend),
-        rhs_fns: build_side_fns(desc.rhs(), desc.rhs_compiled(), backend),
-    };
-    let mut events: ChainArena<Event> = ChainArena::new();
-    let mut values: ChainArena<Value> = ChainArena::new();
-
-    let init_sides = |fns: &[SideFn], values: &mut ChainArena<Value>| {
-        fns.iter()
-            .map(|f| match f.delta_init() {
-                Some((state, out)) => {
-                    let mut chain = ChainId::EMPTY;
-                    for v in out {
-                        chain = values.push(chain, v);
-                    }
-                    Side::Inc {
-                        state: Arc::new(state),
-                        chain,
-                    }
-                }
-                None => Side::Full,
-            })
-            .collect::<Vec<Side>>()
-    };
-    let root = NodeRec {
-        trace: ChainId::EMPTY,
-        depth: 0,
-        lhs: init_sides(&ctx.lhs_fns, &mut values),
-        rhs: init_sides(&ctx.rhs_fns, &mut values),
-    };
-
-    let mut out = Enumeration {
-        solutions: Vec::new(),
-        dead_ends: Vec::new(),
-        frontier: Vec::new(),
-        nodes_visited: 0,
-        truncated: false,
-    };
-    let mut visited = 0usize;
-    let mut level = vec![root];
-    let mut verify_base = true; // only the root level lacks the invariant
-
-    while !level.is_empty() {
-        let remaining = opts.max_nodes.saturating_sub(visited);
-        let truncated_here = remaining < level.len();
-        if truncated_here {
-            // Matches the seed BFS exactly: it stops at the first pop past
-            // the budget, having visited precisely `remaining` more nodes
-            // of this level (FIFO ⇒ levels are contiguous in the queue).
-            out.truncated = true;
-            level.truncate(remaining);
-        }
-        if level.is_empty() {
-            break;
-        }
-        visited += level.len();
-        let outs: Vec<NodeOut> = level
-            .iter()
-            .map(|nd| process_node(&ctx, &events, &values, nd, verify_base))
+            .chain(desc.rhs_compiled())
             .collect();
+        let arity = desc.arity();
+        let mut inc = Vec::with_capacity(sides.len());
+        let mut outs = Vec::with_capacity(sides.len());
+        let mut states = Vec::with_capacity(sides.len());
+        for s in &sides {
+            let init = s.delta_init();
+            inc.push(init.is_some());
+            let (state, out) = init.map_or((None, Vec::new()), |(st, out)| (Some(st), out));
+            states.push(state);
+            outs.push(out);
+        }
+        let needs_seq = (0..arity).map(|i| !inc[i] || !inc[arity + i]).collect();
+        Walk {
+            arity,
+            events: alphabet
+                .iter()
+                .flat_map(|(c, msgs)| msgs.iter().map(move |m| Event::new(c, *m)))
+                .collect(),
+            max_depth,
+            inc,
+            needs_seq,
+            path: Vec::new(),
+            outs,
+            frames: vec![Frame::default()],
+            lens: vec![0; sides.len()],
+            owner: vec![0; sides.len()],
+            states,
+            rhs_seqs: vec![None; arity],
+            limit: max_depth,
+            cut: usize::MAX,
+            budget: usize::MAX,
+            record: true,
+            counts: Vec::new(),
+            total: 0,
+            found: vec![Vec::new()],
+            links: Vec::new(),
+            sides,
+        }
+    }
 
-        let mut next: Vec<NodeRec> = Vec::new();
-        for (node, nout) in level.iter().zip(outs) {
-            if nout.is_solution {
-                out.solutions.push(Trace::finite(events.items(node.trace)));
+    /// Counts a node at depth `d`; `false` past the budget.
+    fn count(&mut self, d: usize) -> bool {
+        if d == self.counts.len() {
+            self.counts.push(0);
+        }
+        self.counts[d] += 1;
+        self.total += 1;
+        self.total <= self.budget
+    }
+
+    /// Makes the per-depth slots of depth `d` exist.
+    fn reach(&mut self, d: usize) {
+        let ns = self.sides.len();
+        while self.frames.len() <= d {
+            self.frames.push(Frame::default());
+            self.lens.extend(std::iter::repeat_n(0, ns));
+            self.owner.extend(std::iter::repeat_n(0, ns));
+            for s in 0..ns {
+                let root = self.states[s].clone();
+                self.states.push(root);
             }
-            if node.depth >= ctx.max_depth {
-                if nout.has_son {
-                    out.frontier.push(Trace::finite(events.items(node.trace)));
-                } else if !nout.is_solution {
-                    out.dead_ends.push(Trace::finite(events.items(node.trace)));
-                }
-                continue;
-            }
-            if nout.children.is_empty() && !nout.is_solution {
-                out.dead_ends.push(Trace::finite(events.items(node.trace)));
-            }
-            if truncated_here {
-                continue; // children of the last visited nodes are never reached
-            }
-            for child in nout.children {
-                let trace = events.push(node.trace, child.event);
-                let attach =
-                    |outs: Vec<SideOut>, parents: &[Side], values: &mut ChainArena<Value>| {
-                        outs.into_iter()
-                            .zip(parents)
-                            .map(|(so, parent)| match (so, parent) {
-                                (SideOut::Inc { state, delta }, Side::Inc { chain, .. }) => {
-                                    let mut c = *chain;
-                                    for v in delta {
-                                        c = values.push(c, v);
-                                    }
-                                    Side::Inc { state, chain: c }
-                                }
-                                _ => Side::Full,
-                            })
-                            .collect::<Vec<Side>>()
-                    };
-                let lhs = attach(child.lhs, &node.lhs, &mut values);
-                let rhs = attach(child.rhs, &node.rhs, &mut values);
-                next.push(NodeRec {
-                    trace,
-                    depth: node.depth + 1,
-                    lhs,
-                    rhs,
+            self.rhs_seqs.extend(std::iter::repeat_n(None, self.arity));
+            self.found.push(Vec::new());
+        }
+    }
+
+    fn trace(&self) -> Trace {
+        Trace::finite(self.path.clone())
+    }
+
+    /// Sets up the node at depth `d` (the path and side outputs already
+    /// include its event).
+    fn enter(&mut self, d: usize) {
+        let (ns, arity) = (self.sides.len(), self.arity);
+        for s in 0..ns {
+            self.lens[d * ns + s] = self.outs[s].len();
+        }
+        let trace = self.needs_seq.contains(&true).then(|| self.trace());
+        for i in 0..arity {
+            if self.needs_seq[i] {
+                let g = arity + i;
+                self.rhs_seqs[d * arity + i] = Some(if self.inc[g] {
+                    Lasso::finite(self.outs[g].clone())
+                } else {
+                    self.sides[g].eval(trace.as_ref().expect("trace"))
                 });
             }
         }
-        if truncated_here {
-            break;
-        }
-        level = next;
-        verify_base = false;
+        // Limit condition f(u) = g(u). Below the root the prefix invariant
+        // makes per-equation equality a length comparison.
+        let is_solution = (0..arity).all(|i| {
+            let rhs = self.rhs_seqs[d * arity + i].as_ref();
+            if !self.inc[i] {
+                return self.sides[i].eval(trace.as_ref().expect("trace")) == *rhs.expect("rhs");
+            }
+            let f = &self.outs[i];
+            match rhs {
+                None => {
+                    let g = &self.outs[arity + i];
+                    g.len() == f.len() && (d > 0 || f == g)
+                }
+                Some(g) => {
+                    g.len().as_finite() == Some(f.len())
+                        && (d > 0 || f.iter().enumerate().all(|(k, v)| g.get(k) == Some(v)))
+                }
+            }
+        });
+        self.frames[d] = Frame {
+            next: 0,
+            has_son: false,
+            is_solution,
+            link: None,
+        };
     }
-    out.nodes_visited = visited;
-    out
+
+    /// Advances side `s` from the state at depth `d` by `ev` into the slot
+    /// of depth `d + 1`, appending its new output.
+    fn step_side(&mut self, d: usize, s: usize, ev: Event) {
+        let ns = self.sides.len();
+        let owner = self.owner[d * ns + s];
+        self.owner[(d + 1) * ns + s] = owner;
+        let src = self.states[owner * ns + s]
+            .as_ref()
+            .expect("incremental side");
+        if !src.reads(ev.chan) {
+            return;
+        }
+        let (head, tail) = self.states.split_at_mut((d + 1) * ns);
+        let dst = tail[s].as_mut().expect("incremental side");
+        dst.clone_from(head[owner * ns + s].as_ref().expect("incremental side"));
+        dst.step_into(ev, &mut self.outs[s]);
+        self.owner[(d + 1) * ns + s] = d + 1;
+    }
+
+    /// Tests `f(u·ev) ⊑ g(u)` for the node `u` at depth `d`. On success the
+    /// `f` outputs and depth-`d + 1` states hold the child's; on failure
+    /// the outputs are restored.
+    fn admit(&mut self, d: usize, ev: Event) -> bool {
+        let arity = self.arity;
+        let verify_base = d == 0;
+        for i in 0..arity {
+            let ok = if self.inc[i] {
+                let l = self.outs[i].len();
+                self.step_side(d, i, ev);
+                if l == self.outs[i].len() && !verify_base {
+                    // Appends nothing; the invariant is the whole check.
+                    continue;
+                }
+                // The root's prefix invariant is not established yet:
+                // verify the already-emitted values too.
+                let from = if verify_base { 0 } else { l };
+                let f = &self.outs[i];
+                match &self.rhs_seqs[d * arity + i] {
+                    None => {
+                        let g = &self.outs[arity + i];
+                        f.len() <= g.len() && f[from..] == g[from..f.len()]
+                    }
+                    Some(g) => {
+                        g.len().as_finite().is_none_or(|m| m >= f.len())
+                            && (from..f.len()).all(|k| g.get(k) == Some(&f[k]))
+                    }
+                }
+            } else {
+                self.path.push(ev);
+                let f = self.sides[i].eval(&self.trace());
+                self.path.pop();
+                f.leq(self.rhs_seqs[d * arity + i].as_ref().expect("rhs"))
+            };
+            if !ok {
+                self.truncate_outs(d, 0..arity);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Cuts the outputs of `sides` back to their length at depth `d`.
+    fn truncate_outs(&mut self, d: usize, sides: std::ops::Range<usize>) {
+        let ns = self.sides.len();
+        for s in sides {
+            self.outs[s].truncate(self.lens[d * ns + s]);
+        }
+    }
+
+    /// Tries the remaining children of the node at depth `d`.
+    fn descend(&mut self, d: usize) -> Next {
+        let (ns, arity) = (self.sides.len(), self.arity);
+        self.reach(d + 1);
+        while self.frames[d].next < self.events.len() {
+            // A node at the limit is not expanded; a classifying walk
+            // needs its has-son test, up to the first son.
+            if d == self.limit && (!self.record || self.frames[d].has_son) {
+                return Next::Done;
+            }
+            let ev = self.events[self.frames[d].next];
+            self.frames[d].next += 1;
+            if !self.admit(d, ev) {
+                continue;
+            }
+            self.frames[d].has_son = true;
+            let past_cut =
+                d + 1 == self.limit && self.counts.get(d + 1).is_some_and(|&n| n >= self.cut);
+            if d == self.limit || past_cut {
+                // The son is not visited. Past the cut, neither is any
+                // later node of its depth.
+                self.truncate_outs(d, 0..arity);
+                self.frames[d].next = self.events.len();
+                return Next::Done;
+            }
+            for s in arity..ns {
+                if self.inc[s] {
+                    self.step_side(d, s, ev);
+                }
+            }
+            self.path.push(ev);
+            if !self.count(d + 1) {
+                return Next::Abort;
+            }
+            self.enter(d + 1);
+            return Next::Child;
+        }
+        Next::Done
+    }
+
+    /// Records the classification of the finished node at depth `d`.
+    fn finish(&mut self, d: usize) {
+        if !self.record {
+            return;
+        }
+        let f = self.frames[d];
+        let link = self.link(d);
+        let bucket = &mut self.found[d];
+        let mut record = |kind| bucket.push((kind, link));
+        if f.is_solution {
+            record(Kind::Solution);
+        }
+        if d >= self.max_depth {
+            if f.has_son {
+                record(Kind::Frontier);
+            } else if !f.is_solution {
+                record(Kind::DeadEnd);
+            }
+        } else if !f.has_son && !f.is_solution {
+            record(Kind::DeadEnd);
+        }
+    }
+
+    /// The path link of the node at depth `d`, creating the missing links
+    /// along the path (each path node gets at most one).
+    fn link(&mut self, d: usize) -> usize {
+        let mut k = d;
+        while k > 0 && self.frames[k].link.is_none() {
+            k -= 1;
+        }
+        let mut link = if k == 0 {
+            ROOT
+        } else {
+            self.frames[k].link.expect("linked")
+        };
+        for j in k + 1..=d {
+            self.links.push((link, self.path[j - 1]));
+            link = self.links.len() - 1;
+            self.frames[j].link = Some(link);
+        }
+        link
+    }
+
+    fn trace_of(&self, mut link: usize, depth: usize) -> Trace {
+        let mut events = Vec::with_capacity(depth);
+        while link != ROOT {
+            let (parent, ev) = self.links[link];
+            events.push(ev);
+            link = parent;
+        }
+        events.reverse();
+        Trace::finite(events)
+    }
+
+    /// One depth-first walk down to `limit`, visiting only the first `cut`
+    /// nodes at that depth; `false` if it stopped at node `budget + 1`.
+    /// Every walk starts and ends at the root.
+    fn walk(&mut self, limit: usize, cut: usize, budget: usize, record: bool) -> bool {
+        (self.limit, self.cut, self.budget, self.record) = (limit, cut, budget, record);
+        self.counts.clear();
+        self.total = 0;
+        self.found.iter_mut().for_each(Vec::clear);
+        self.links.clear();
+        if limit == 0 && cut == 0 {
+            return true;
+        }
+        if !self.count(0) {
+            return false;
+        }
+        self.enter(0);
+        loop {
+            let d = self.path.len();
+            match self.descend(d) {
+                Next::Child => continue,
+                Next::Done => {}
+                Next::Abort => {
+                    self.path.clear();
+                    self.truncate_outs(0, 0..self.sides.len());
+                    return false;
+                }
+            }
+            self.finish(d);
+            if d == 0 {
+                return true;
+            }
+            self.path.pop();
+            self.truncate_outs(d - 1, 0..self.sides.len());
+        }
+    }
+
+    fn run(mut self, max_nodes: usize) -> Enumeration {
+        let truncated = !self.walk(self.max_depth, usize::MAX, max_nodes, true);
+        if truncated {
+            // The first level where the aborted walk's cumulative count
+            // reached `max_nodes` bounds `k` from above.
+            let mut n = 0;
+            let mut hi = self
+                .counts
+                .iter()
+                .position(|c| {
+                    n += c;
+                    n >= max_nodes
+                })
+                .expect("the walk counted past max_nodes");
+            let (mut lo, mut above) = (0, 0);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if self.walk(mid, usize::MAX, max_nodes - 1, false) {
+                    (lo, above) = (mid + 1, self.total);
+                } else {
+                    hi = mid;
+                }
+            }
+            self.walk(lo, max_nodes - above, usize::MAX, true);
+        }
+
+        let mut out = Enumeration {
+            solutions: Vec::new(),
+            dead_ends: Vec::new(),
+            frontier: Vec::new(),
+            nodes_visited: if truncated { max_nodes } else { self.total },
+            truncated,
+        };
+        for (d, bucket) in self.found.iter().enumerate() {
+            for &(kind, link) in bucket {
+                let t = self.trace_of(link, d);
+                match kind {
+                    Kind::Solution => out.solutions.push(t),
+                    Kind::DeadEnd => out.dead_ends.push(t),
+                    Kind::Frontier => out.frontier.push(t),
+                }
+            }
+        }
+        out
+    }
 }
 
-/// Sequential prefix-sharing, incrementally evaluating enumeration of the
-/// Section 3.3 tree — same results as [`crate::enumerate::enumerate`],
-/// without the per-node O(depth) replay.
+/// Depth-first, incrementally evaluating enumeration of the Section 3.3
+/// tree — same results as [`crate::enumerate::enumerate`], without the
+/// per-node O(depth) replay.
 pub fn enumerate_memo(desc: &Description, alphabet: &Alphabet, opts: EnumOptions) -> Enumeration {
-    run(desc, alphabet, opts, Backend::Compiled)
-}
-
-/// [`enumerate_memo`] driven by the tree-walking combinator interpreter
-/// instead of the compiled IR.
-///
-/// Exists so `eqp-bench` can report the compiled-vs-interpreted column
-/// from two engines that differ *only* in the evaluator backend; results
-/// are identical to [`enumerate_memo`] (the differential suite pins
-/// compiled == interpreted).
-pub fn enumerate_memo_interp(
-    desc: &Description,
-    alphabet: &Alphabet,
-    opts: EnumOptions,
-) -> Enumeration {
-    run(desc, alphabet, opts, Backend::Interpreted)
+    Walk::new(desc, alphabet, opts.max_depth).run(opts.max_nodes)
 }
 
 #[cfg(test)]
@@ -605,7 +520,7 @@ mod tests {
     use crate::enumerate::enumerate;
     use eqp_seqfn::paper::{ch, even, odd, r_map, t_bar};
     use eqp_seqfn::SeqExpr;
-    use eqp_trace::{Chan, Value};
+    use eqp_trace::Chan;
 
     fn b() -> Chan {
         Chan::new(0)
@@ -625,17 +540,18 @@ mod tests {
         assert_eq!(a.truncated, e.truncated, "truncation flag differs");
     }
 
-    fn check_all_engines(desc: &Description, alpha: &Alphabet, opts: EnumOptions) {
-        let seed = enumerate(desc, alpha, opts);
-        assert_same(&enumerate_memo(desc, alpha, opts), &seed);
-        assert_same(&enumerate_memo_interp(desc, alpha, opts), &seed);
+    fn check_against_seed(desc: &Description, alpha: &Alphabet, opts: EnumOptions) {
+        assert_same(
+            &enumerate_memo(desc, alpha, opts),
+            &enumerate(desc, alpha, opts),
+        );
     }
 
     #[test]
     fn random_bit_matches_seed() {
         let desc = Description::new("random-bit").equation(r_map(ch(b())), t_bar());
         let alpha = Alphabet::new().with_bits(b());
-        check_all_engines(&desc, &alpha, EnumOptions::default());
+        check_against_seed(&desc, &alpha, EnumOptions::default());
     }
 
     #[test]
@@ -647,7 +563,7 @@ mod tests {
             .with_chan(b(), [Value::Int(0), Value::Int(2)])
             .with_chan(c(), [Value::Int(1)])
             .with_ints(d(), 0, 2);
-        check_all_engines(
+        check_against_seed(
             &dfm,
             &alpha,
             EnumOptions {
@@ -663,7 +579,7 @@ mod tests {
         // side, exercising the Full fallback path.
         let ticks = Description::new("ticks").defines(b(), SeqExpr::concat([Value::tt()], ch(b())));
         let alpha = Alphabet::new().with_chan(b(), [Value::tt()]);
-        check_all_engines(
+        check_against_seed(
             &ticks,
             &alpha,
             EnumOptions {
@@ -683,7 +599,7 @@ mod tests {
                 max_depth: 3,
                 max_nodes,
             };
-            check_all_engines(&chaos, &alpha, opts);
+            check_against_seed(&chaos, &alpha, opts);
         }
     }
 
@@ -695,7 +611,7 @@ mod tests {
             .equation(even(ch(d())), SeqExpr::const_ints([0, 2]))
             .equation(odd(ch(d())), SeqExpr::affine(1, 1, even(ch(d()))));
         let alpha = Alphabet::new().with_ints(d(), 0, 3);
-        check_all_engines(
+        check_against_seed(
             &desc,
             &alpha,
             EnumOptions {

@@ -77,7 +77,7 @@ pub mod tree;
 pub use compose::compose;
 pub use description::{Alphabet, Description, System};
 pub use eliminate::{eliminate, reconstruct_witness, ElimError};
-pub use engine::{enumerate_memo, enumerate_memo_interp};
+pub use engine::enumerate_memo;
 pub use enumerate::{enumerate, EnumOptions, Enumeration};
 pub use kahn_eqs::{KahnSystem, SolveOptions};
 pub use smooth::{is_smooth, is_smooth_at_depth, limit_holds, smoothness_holds};

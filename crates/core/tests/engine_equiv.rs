@@ -7,11 +7,17 @@
 //! The generated descriptions deliberately mix delta-supported sides with
 //! sides the incremental evaluator cannot handle (infinite constants), so
 //! both the fast path and the full-re-evaluation fallback are exercised,
-//! as are budget expiries in the middle of a BFS level.
+//! as are budget expiries in the middle of a BFS level. A deterministic
+//! sweep puts the node cap on and around every level boundary of the
+//! paper's trees, a deep chain pins that the depth-first walk does not
+//! recurse, and a deep binary tree under a small cap pins that the walk
+//! does not wander into levels the BFS never reaches.
 
 use eqp_core::description::{Alphabet, Description};
 use eqp_core::{enumerate, enumerate_memo, EnumOptions, Enumeration};
-use eqp_seqfn::paper::ch;
+use eqp_seqfn::paper::{
+    and, brock_ackermann_f, ch, even, odd, oracle_false, oracle_true, r_map, t_bar,
+};
 use eqp_seqfn::SeqExpr;
 use eqp_trace::{Chan, Lasso, Value};
 use proptest::prelude::*;
@@ -89,7 +95,7 @@ proptest! {
     fn engines_identical_to_seed(
         desc in arb_description(),
         alpha in arb_alphabet(),
-        max_depth in 0usize..4,
+        max_depth in 0usize..6,
         max_nodes in 0usize..400,
     ) {
         let opts = EnumOptions { max_depth, max_nodes };
@@ -122,4 +128,132 @@ proptest! {
         }
         prop_assert_eq!(projected, naive);
     }
+}
+
+fn ticks() -> (Description, Alphabet) {
+    let b = Chan::new(0);
+    (
+        Description::new("ticks").defines(b, SeqExpr::concat([Value::tt()], ch(b))),
+        Alphabet::new().with_bits(b),
+    )
+}
+
+/// The Fig. 2, 4, 5 and 6 trees and the ticks chain, each with a depth
+/// small enough for the seed engine to sweep quickly.
+fn paper_trees() -> Vec<(&'static str, Description, Alphabet, usize)> {
+    let [b, c, d] = chan_pool();
+    let e = Chan::new(3);
+    let (ticks, ticks_alpha) = ticks();
+    vec![
+        (
+            "dfm",
+            Description::new("dfm")
+                .equation(even(ch(d)), ch(b))
+                .equation(odd(ch(d)), ch(c)),
+            Alphabet::new()
+                .with_chan(b, [Value::Int(0), Value::Int(2)])
+                .with_chan(c, [Value::Int(1)])
+                .with_ints(d, 0, 2),
+            4,
+        ),
+        (
+            "fork",
+            Description::new("fork")
+                .equation(ch(d), oracle_true(ch(c), ch(b)))
+                .equation(ch(e), oracle_false(ch(c), ch(b))),
+            Alphabet::new()
+                .with_ints(b, 0, 1)
+                .with_ints(c, 0, 1)
+                .with_ints(d, 0, 1)
+                .with_bits(e),
+            4,
+        ),
+        (
+            "implication",
+            Description::new("implication")
+                .equation(r_map(ch(b)), t_bar())
+                .equation(ch(d), and(ch(b), ch(c))),
+            Alphabet::new().with_bits(b).with_bits(c).with_bits(d),
+            4,
+        ),
+        (
+            "brock-ackermann",
+            Description::new("brock-ackermann")
+                .equation(even(ch(c)), SeqExpr::const_ints([0, 2]))
+                .equation(odd(ch(c)), brock_ackermann_f(ch(c))),
+            Alphabet::new().with_ints(c, 0, 2),
+            7,
+        ),
+        ("ticks", ticks, ticks_alpha, 12),
+    ]
+}
+
+/// Every cap in {0, 1, N_k − 1, N_k, N_k + 1}, where `N_k` is the number
+/// of nodes of depth at most `k`, for every level `k` of the tree: the
+/// cut falls before, on and after each level boundary.
+#[test]
+fn truncation_sweep_matches_seed_at_every_level_boundary() {
+    for (name, desc, alpha, depth) in paper_trees() {
+        let mut caps = vec![0, 1];
+        for k in 0..=depth {
+            let opts = EnumOptions {
+                max_depth: k,
+                max_nodes: usize::MAX,
+            };
+            let n = enumerate(&desc, &alpha, opts).nodes_visited;
+            caps.extend([n - 1, n, n + 1]);
+        }
+        caps.sort_unstable();
+        caps.dedup();
+        for max_nodes in caps {
+            let opts = EnumOptions {
+                max_depth: depth,
+                max_nodes,
+            };
+            assert_identical(
+                &format!("{name} max_nodes={max_nodes}"),
+                &enumerate_memo(&desc, &alpha, opts),
+                &enumerate(&desc, &alpha, opts),
+            );
+        }
+    }
+}
+
+/// A chain 100,000 deep on the default test thread: a recursive walk
+/// would overflow the stack here.
+#[test]
+fn deep_chain_walks_without_recursion() {
+    const D: usize = 100_000;
+    let (desc, alpha) = ticks();
+    let e = enumerate_memo(
+        &desc,
+        &alpha,
+        EnumOptions {
+            max_depth: D,
+            max_nodes: 200_000,
+        },
+    );
+    assert_eq!(e.nodes_visited, D + 1);
+    assert!(!e.truncated);
+    assert!(e.solutions.is_empty());
+    assert!(e.dead_ends.is_empty());
+    let tick = eqp_trace::Event::new(Chan::new(0), Value::tt());
+    assert_eq!(e.frontier, vec![eqp_trace::Trace::finite(vec![tick; D])]);
+}
+
+/// A binary tree 100,000 levels deep under a 5,000-node cap: the BFS stops
+/// at level 12, and so must the depth-first walk's work — a walk that
+/// classified the deep levels first would record millions of nodes.
+#[test]
+fn node_cap_bounds_a_deep_wide_walk() {
+    let chaos = Description::new("chaos").equation(SeqExpr::epsilon(), SeqExpr::epsilon());
+    let alpha = Alphabet::new().with_ints(Chan::new(0), 0, 1);
+    let opts = EnumOptions {
+        max_depth: 100_000,
+        max_nodes: 5_000,
+    };
+    let e = enumerate_memo(&chaos, &alpha, opts);
+    assert_identical("deep binary tree", &e, &enumerate(&chaos, &alpha, opts));
+    assert!(e.truncated);
+    assert_eq!(e.solutions.len(), 5_000);
 }

@@ -1209,6 +1209,17 @@ impl Clone for Slot {
             Slot::Custom(st) => Slot::Custom(st.clone_box()),
         }
     }
+
+    fn clone_from(&mut self, src: &Slot) {
+        match (self, src) {
+            (Slot::Zip { pa, pb }, Slot::Zip { pa: sa, pb: sb })
+            | (Slot::Select { pd: pa, po: pb }, Slot::Select { pd: sa, po: sb }) => {
+                pa.clone_from(sa);
+                pb.clone_from(sb);
+            }
+            (dst, src) => *dst = src.clone(),
+        }
+    }
 }
 
 /// One pointwise stage of a [`Repr::Chain`] program, with its mutable
@@ -1335,6 +1346,24 @@ impl Clone for CompiledDeltaState {
         CompiledDeltaState {
             prog: Arc::clone(&self.prog),
             repr: self.repr.clone(),
+        }
+    }
+
+    /// Refills `self` with `src`'s state, reusing the chain's `ops` and the
+    /// graph's `slots` allocations. The per-slot `bufs` are not copied:
+    /// every step clears a slot's buffer before anything reads it.
+    fn clone_from(&mut self, src: &CompiledDeltaState) {
+        if !Arc::ptr_eq(&self.prog, &src.prog) {
+            *self = src.clone();
+            return;
+        }
+        match (&mut self.repr, &src.repr) {
+            (Repr::Chain { chan, ops }, Repr::Chain { chan: c, ops: o }) => {
+                *chan = *c;
+                ops.clone_from(o);
+            }
+            (Repr::Graph { slots, .. }, Repr::Graph { slots: s, .. }) => slots.clone_from(s),
+            (repr, src) => *repr = src.clone(),
         }
     }
 }

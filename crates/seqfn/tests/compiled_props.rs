@@ -14,11 +14,14 @@
 //!   (possibly optimizer-shrunk) compiled channel set, and out-of-support
 //!   events step to no-ops;
 //! * cloning a compiled machine mid-stream and resuming both copies gives
-//!   identical results (the checkpoint/resume contract at this layer).
+//!   identical results (the checkpoint/resume contract at this layer), and
+//!   so does `clone_from` into a machine that has run elsewhere.
 
 use eqp_seqfn::compile::step_check as compiled_step_check;
 use eqp_seqfn::delta::{step_check, FrozenSide, SideEval};
-use eqp_seqfn::{CompiledSideEval, SeqExpr, SeqFunction, ValueMap, ValuePred, ValueZip};
+use eqp_seqfn::{
+    CompiledExpr, CompiledSideEval, SeqExpr, SeqFunction, ValueMap, ValuePred, ValueZip,
+};
 use eqp_trace::{Chan, ChanSet, Event, Lasso, Seq, Trace, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -177,6 +180,58 @@ fn arb_events() -> impl Strategy<Value = Vec<Event>> {
     proptest::collection::vec(arb_event(), 0..12)
 }
 
+/// Shapes pinned to each machine repr: zip and oracle-select run on the
+/// slot graph, a map-after-skip pipeline on the scalar chain.
+fn repr_shape() -> impl Strategy<Value = (&'static str, SeqExpr)> {
+    let ch = |c| Box::new(SeqExpr::chan(Chan::new(c)));
+    prop_oneof![
+        Just(("repr: Graph", SeqExpr::Zip(ValueZip::And, ch(0), ch(1)))),
+        any::<bool>().prop_map(move |keep| (
+            "repr: Graph",
+            SeqExpr::OracleSelect {
+                data: ch(0),
+                oracle: ch(1),
+                keep,
+            }
+        )),
+        (vmap(), 1usize..4).prop_map(move |(m, n)| (
+            "repr: Chain",
+            SeqExpr::Map(m, Box::new(SeqExpr::Skip(n, ch(0))))
+        )),
+    ]
+}
+
+/// Runs `src` (a machine of `c`) over `evs[..cut]`, refills a machine of
+/// `dst_prog` that ran over `dirty` from it with `clone_from`, and checks
+/// that it steps through `evs[cut..]` exactly like a `clone` of `src`.
+/// Returns `src`'s debug form, or `None` when `c` has no delta machine.
+fn clone_from_steps_like_clone(
+    c: &CompiledExpr,
+    dst_prog: &CompiledExpr,
+    evs: &[Event],
+    dirty: &[Event],
+    cut: usize,
+) -> Option<String> {
+    let (mut src, _) = c.delta_init()?;
+    let cut = cut.min(evs.len());
+    for &ev in &evs[..cut] {
+        src.step(ev);
+    }
+    let (mut dst, _) = dst_prog
+        .delta_init()
+        .or_else(|| c.delta_init())
+        .expect("c has a delta machine");
+    for &ev in dirty {
+        dst.step(ev);
+    }
+    dst.clone_from(&src);
+    let mut cloned = src.clone();
+    for &ev in &evs[cut..] {
+        assert_eq!(dst.step(ev), cloned.step(ev), "clone_from diverged for {c}");
+    }
+    Some(format!("{src:?}"))
+}
+
 proptest! {
     /// The headline theorem: compiled evaluation equals interpreted
     /// evaluation on arbitrary (finite or eventually-periodic) inputs.
@@ -325,6 +380,39 @@ proptest! {
             format!("{a:?}"), format!("{b:?}"),
             "clone state diverged for {}", e
         );
+    }
+
+    /// `clone_from` into a machine that has run elsewhere (the same
+    /// program on other events, or another program), then stepping,
+    /// equals `clone` then stepping — the enumeration engine refills its
+    /// per-depth machines this way.
+    #[test]
+    fn clone_from_resumes_like_clone(
+        e in expr(),
+        other in expr(),
+        same in any::<bool>(),
+        evs in arb_events(),
+        dirty in arb_events(),
+        cut in 0usize..12,
+    ) {
+        let c = e.compile();
+        let dst_prog = if same { c.clone() } else { other.compile() };
+        clone_from_steps_like_clone(&c, &dst_prog, &evs, &dirty, cut);
+    }
+
+    /// The same on both machine reprs, with the repr checked: the slot
+    /// graph (zip, oracle-select surplus queues) and the scalar chain.
+    #[test]
+    fn clone_from_resumes_like_clone_on_each_repr(
+        (repr, e) in repr_shape(),
+        evs in arb_events(),
+        dirty in arb_events(),
+        cut in 0usize..12,
+    ) {
+        let c = e.compile();
+        let debug = clone_from_steps_like_clone(&c, &c, &evs, &dirty, cut)
+            .expect("delta-supported shape");
+        prop_assert!(debug.contains(repr), "{} did not compile to {}: {}", e, repr, debug);
     }
 }
 

@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod chan;
 pub mod domain;
 pub mod event;
@@ -56,7 +55,6 @@ pub mod lasso;
 pub mod trace;
 pub mod value;
 
-pub use arena::{ChainArena, ChainHash, ChainId};
 pub use chan::{Chan, ChanSet};
 pub use domain::{SeqDomain, TraceDomain};
 pub use event::Event;

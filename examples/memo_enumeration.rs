@@ -1,6 +1,7 @@
 //! The README's enumeration walkthrough: classify every
 //! communication history of the Section 2.2 discriminated fair merge with
-//! the prefix-sharing engine, and double-check it against the seed walker.
+//! the depth-first incremental engine, and double-check it against the
+//! seed walker.
 
 use eqp::core::description::Alphabet;
 use eqp::core::{enumerate, enumerate_memo, Description, EnumOptions};
@@ -36,6 +37,9 @@ fn main() {
     // The engine is byte-identical to the paper-faithful seed walker.
     let seed = enumerate(&dfm, &alpha, opts);
     assert_eq!(e.solutions, seed.solutions);
+    assert_eq!(e.dead_ends, seed.dead_ends);
+    assert_eq!(e.frontier, seed.frontier);
     assert_eq!(e.nodes_visited, seed.nodes_visited);
+    assert_eq!(e.truncated, seed.truncated);
     println!("identical to the seed Section 3.3 walker ✓");
 }
